@@ -1,34 +1,27 @@
 """Hot-path microbenchmark: legacy vs. current implementations, side by side.
 
-Measures the paths this repository's perf work targets -- update
-(write-store insert/prune/flush), query prefilter (Bloom probes), page
-codecs (leaf decode, sorted-run merge), the query-time join, compaction and
-the page cache -- by driving the *retained legacy implementations* and the
-current ones through identical inputs in the same process, and emits
-``BENCH_hotpath.json`` recording µs/op and speedups.
+Measures the paths this repository's perf work targets -- query prefilter
+(Bloom probes), page codecs (leaf decode, sorted-run merge), the query-time
+join and the page cache -- by driving a baseline and the current
+implementation through identical inputs in the same process, and emits
+``BENCH_hotpath.json`` recording µs/op and speedups.  (Absolute per-stage
+costs, including the stages whose old implementations have been deleted,
+are reported by ``bench/``; see ``docs/ARCHITECTURE.md``, "Retired
+implementations".)
 
-The legacy back ends are first-class code, not museum pieces:
+The baselines:
 
-* :class:`repro.core.write_store.RBTreeWriteStore` -- the red-black-tree
-  write store the seed shipped with;
 * ``BloomFilter(hash_version=1)`` -- the MD5 double-hashing scheme;
 * a local re-implementation of the seed's one-``unpack``-per-record leaf
   decoder and of its tuple-keyed heap merge;
 * :func:`repro.core.join.materialized_join` -- the dict re-grouping query
-  join, measured against the streaming merge-join on narrow, wide and
+  join, measured against the row merge-join on narrow, wide and
   whole-device range queries;
-* ``BacklogConfig(streaming_compaction=False)`` -- the materialising
-  compactor, measured against the streaming generator chain in both wall
-  time and ``tracemalloc`` peak memory;
 * a scan-based re-implementation of ``PageCache.invalidate_file`` measured
   against the per-file key index;
-* :func:`repro.core.inheritance.materialized_expand` -- the materialise-and-
-  re-sort clone expansion, measured against the incremental
-  :func:`repro.core.inheritance.expand_clones` generator on deep-chain
-  queries (wall time and transient-memory growth);
-* the PR 1 materialised query pipeline (gather lists + ``materialized_join``
+* the narrow arm's record pipeline (gather lists + ``materialized_join``
   + ``materialized_expand`` + dict grouping), measured against the engine's
-  size-dispatched narrow-query path and against the forced streaming chain;
+  size-dispatched narrow-query path and against the forced row pipeline;
 * the materialising list surface (``query_range``) measured against the
   cursor surface (``Backlog.select``): whole-device existence checks via
   ``.first()`` early exit, and whole-device scans via resume-token
@@ -43,9 +36,6 @@ The legacy back ends are first-class code, not museum pieces:
   client queries/sec, identical answers asserted inline;
 * the streaming writer's per-leaf ``add_many`` Bloom build, measured
   against the bulk scratch-arena build from the whole sorted flush array;
-* the tuple streaming pipeline (``columnar_pipeline=False``), measured
-  against the columnar row pipeline on whole-device scans with identical
-  answers and exactly-equal ``pages_read`` asserted inline;
 * the v1 pickled-NamedTuple QUERY_PAGE reply wire, measured against the
   packed v2 frame codec with identical decoded results asserted inline.
 
@@ -55,8 +45,7 @@ Run with::
                                                       [--output PATH]
 
 ``--quick`` shrinks the workloads (CI uses it), ``--check`` exits non-zero
-when the speedup targets (2x write store, 1.5x Bloom probe, 1.5x wide-range
-join) are not met.
+when the speedup targets (``TARGETS``) are not met.
 """
 
 from __future__ import annotations
@@ -80,20 +69,17 @@ from repro.core.bloom import BloomFilter, DEFAULT_FILTER_BITS, FORMAT_V1, FORMAT
 from repro.core.columnar import join_rows_for_query
 from repro.core.config import BacklogConfig
 from repro.core.cursor import QuerySpec
-from repro.core.inheritance import CloneGraph, expand_clones, materialized_expand
-from repro.core.join import materialized_join, merge_join_for_query
+from repro.core.join import materialized_join
 from repro.core.lsm import merge_sorted_runs
 from repro.core.read_store import ReadStoreWriter, _PAGE_HEADER
 from repro.core.records import (
     BackReference,
-    CombinedRecord,
     FromRecord,
     INFINITY,
     ToRecord,
     pack_key_prefix,
     records_to_rows,
 )
-from repro.core.write_store import RBTreeWriteStore, WriteStore
 from repro.fsim.blockdev import (
     DiskBackend,
     DiskImageBackend,
@@ -105,13 +91,11 @@ from repro.fsim.cache import PageCache
 
 DEFAULT_OUTPUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_hotpath.json")
 
-#: Acceptance targets for the headline paths (PR 1: write store and Bloom
-#: probe; PR 2: the streaming merge-join on wide range queries; PR 3: the
-#: incremental clone expansion, and the narrow-query size dispatch, whose
-#: "speedup" vs the PR 1 materialised baseline must stay >= 0.95 -- i.e. the
+#: Acceptance targets for the headline paths (PR 1: Bloom probe; PR 2: the
+#: merge-join on wide range queries; PR 3: the narrow-query size dispatch,
+#: whose "speedup" vs the raw record pipeline must stay >= 0.95 -- i.e. the
 #: dispatched engine gives back at most ~5% on narrow queries).
 TARGETS = {
-    "write_store_insert_flush": 2.0,
     "bloom_probe": 1.5,
     # Recalibrated from 1.5 when --check became a CI gate (PR 8): the old
     # bar was set from fresh-process runs, where the materialising legacy
@@ -119,7 +103,6 @@ TARGETS = {
     # growth.  Mid-suite, on a warm heap, the honest ratio settles ~1.45;
     # 1.35 keeps the gate meaningful without flaking on that offset.
     "join_wide": 1.35,
-    "clone_expand": 1.5,
     "narrow_dispatch": 0.95,
     # PR 4: the cursor surface -- an existence check via ``.first()`` on a
     # whole-device range must beat materialising the full answer by 5x.
@@ -156,15 +139,11 @@ TARGETS = {
     # with 3 shard processes vs a single-shard cluster, identical answers
     # asserted inline.
     "shard_scale": 1.5,
-    # PR 10: the columnar row pipeline.  A whole-device streaming scan on
-    # row slabs must be >= 2.0x the tuple pipeline (same engine, ablation
-    # flag off) with identical answers and exactly-equal pages_read asserted
-    # inline; the packed v2 QUERY_PAGE codec must beat the v1
-    # materialise-and-pickle wire by >= 3.0x with identical decoded results;
-    # and the narrow-range row join must recover at least parity with the
-    # materialised join (the 0.87x regression this PR fixes) so the size
-    # dispatch becomes a fallback rather than a necessity.
-    "columnar_scan": 2.0,
+    # PR 10: the columnar row pipeline.  The packed v2 QUERY_PAGE codec must
+    # beat the v1 materialise-and-pickle wire by >= 3.0x with identical
+    # decoded results; and the narrow-range row join must hold at least
+    # parity with the materialised join so the size dispatch is a fallback
+    # rather than a necessity.
     "cluster_page_codec": 3.0,
     "join_narrow": 1.0,
 }
@@ -176,63 +155,6 @@ TARGETS = {
 #: was actually measured with, so the gate can verify it is comparing
 #: full-size numbers.
 GATED_SECTIONS = frozenset(name.split(".", 1)[0] for name in TARGETS)
-
-
-# --------------------------------------------------------------- write store
-
-def _make_ops(num_ops: int, ops_per_cp: int, seed: int) -> List[Tuple[str, FromRecord]]:
-    """A deterministic insert/remove/flush mix shaped like the update path."""
-    rng = random.Random(seed)
-    ops: List[Tuple[str, FromRecord]] = []
-    live: List[FromRecord] = []
-    cp = 1
-    for index in range(num_ops):
-        # ~25% removals of a previously inserted record (proactive pruning
-        # shape: most removals hit something buffered in the same CP).
-        if live and rng.random() < 0.25:
-            ops.append(("remove", live.pop(rng.randrange(len(live)))))
-        else:
-            record = FromRecord(
-                block=rng.randrange(1 << 22),
-                inode=rng.randrange(1, 1 << 16),
-                offset=rng.randrange(1 << 10),
-                line=0,
-                from_cp=cp,
-            )
-            ops.append(("insert", record))
-            live.append(record)
-        if (index + 1) % ops_per_cp == 0:
-            ops.append(("flush", None))
-            live.clear()
-            cp += 1
-    ops.append(("flush", None))
-    return ops
-
-
-def _drive_write_store(store_cls, ops: Sequence[Tuple[str, FromRecord]]) -> Tuple[float, int]:
-    """Run the op sequence; returns (seconds, checksum of flushed order)."""
-    store = store_cls("from")
-    checksum = 0
-    start = time.perf_counter()
-    for op, record in ops:
-        if op == "insert":
-            store.insert(record)
-        elif op == "remove":
-            store.remove(record)
-        else:  # flush: drain in sorted order, as a consistency point does
-            for drained in store:
-                checksum = (checksum * 31 + drained[0]) & 0xFFFFFFFF
-            store.clear()
-    return time.perf_counter() - start, checksum
-
-
-def bench_write_store(num_ops: int, ops_per_cp: int) -> dict:
-    ops = _make_ops(num_ops, ops_per_cp, seed=1234)
-    legacy_seconds, legacy_sum = _drive_write_store(RBTreeWriteStore, ops)
-    new_seconds, new_sum = _drive_write_store(WriteStore, ops)
-    if legacy_sum != new_sum:
-        raise AssertionError("write-store back ends disagree on flush order")
-    return _entry(legacy_seconds, new_seconds, num_ops)
 
 
 # --------------------------------------------------------------------- bloom
@@ -456,9 +378,7 @@ def bench_join(num_keys: int, num_runs: int) -> dict:
     big-endian row slices (the shape ``iter_rows_block_range`` yields),
     heap-merged as plain byte strings and joined by
     :func:`~repro.core.columnar.join_rows_for_query` without constructing a
-    single record object.  The tuple ``merge_join_for_query`` chain (the
-    retained ablation pipeline) is reported alongside as
-    ``tuple_us_per_op``.  The ``join_narrow`` shape carries its own >= 1.0
+    single record object.  The ``join_narrow`` shape carries its own >= 1.0
     target: the row join must hold parity with the materialised join even on
     point-ish queries, which is what demotes ``narrow_dispatch_max_runs``
     from a necessity to a fallback.
@@ -489,14 +409,6 @@ def bench_join(num_keys: int, num_runs: int) -> dict:
         legacy_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        tuple_records = 0
-        for position in positions:
-            from_stream = heapq.merge(*map(iter, _run_slices(from_runs, position, width)))
-            to_stream = heapq.merge(*map(iter, _run_slices(to_runs, position, width)))
-            tuple_records += sum(1 for _ in merge_join_for_query(from_stream, to_stream))
-        tuple_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
         new_records = 0
         for position in positions:
             from_stream = heapq.merge(
@@ -506,180 +418,19 @@ def bench_join(num_keys: int, num_runs: int) -> dict:
             new_records += sum(1 for _ in join_rows_for_query(from_stream, to_stream))
         new_seconds = time.perf_counter() - start
 
-        if legacy_records != new_records or tuple_records != new_records:
+        if legacy_records != new_records:
             raise AssertionError(f"join implementations disagree on {name}")
-        entry = _entry(legacy_seconds, new_seconds, num_queries)
-        entry["tuple_us_per_op"] = round(tuple_seconds / num_queries * 1e6, 4)
-        results[name] = entry
+        results[name] = _entry(legacy_seconds, new_seconds, num_queries)
     return results
-
-
-# ---------------------------------------------------------------- compaction
-
-def _build_compaction_workload(streaming: bool, num_cps: int, refs_per_cp: int) -> Backlog:
-    config = BacklogConfig(partition_size_blocks=1 << 14,
-                           streaming_compaction=streaming, track_timing=False)
-    backlog = Backlog(backend=MemoryBackend(), config=config)
-    rng = random.Random(4321)
-    live: List[Tuple[int, int, int]] = []
-    for cp in range(num_cps):
-        for i in range(refs_per_cp):
-            if live and rng.random() < 0.3:
-                block, inode, offset = live.pop(rng.randrange(len(live)))
-                backlog.remove_reference(block, inode, offset)
-            else:
-                entry = (rng.randrange(1 << 16), 1 + i % 64, cp * refs_per_cp + i)
-                backlog.add_reference(*entry)
-                live.append(entry)
-        backlog.checkpoint()
-    return backlog
-
-
-def bench_compaction(num_cps: int, refs_per_cp: int) -> dict:
-    """Whole-database maintenance: materialising vs streaming compactor.
-
-    One operation = one input record merged from the Level-0 runs.  The
-    ``*_peak_bytes`` fields record the ``tracemalloc`` peak during
-    ``maintain()``; the streaming chain's peak stays bounded by the output
-    page buffers (plus the written pages themselves) instead of the
-    partition's full record lists.  To make the boundedness visible, the
-    transient working set is also measured at half the workload: the
-    streaming compactor's ``*_transient_growth`` stays ~1.0 (its working set
-    is the fixed page buffers and Bloom filters) while the materialising
-    compactor's tracks the record count.
-    """
-    half = _measure_compaction(num_cps, refs_per_cp // 2)
-    full = _measure_compaction(num_cps, refs_per_cp)
-    entry = full.pop("entry")
-    entry["legacy_transient_growth"] = (
-        round(full["transients"]["legacy"] / half["transients"]["legacy"], 2)
-        if half["transients"]["legacy"] else 0.0)
-    entry["new_transient_growth"] = (
-        round(full["transients"]["new"] / half["transients"]["new"], 2)
-        if half["transients"]["new"] else 0.0)
-    return entry
-
-
-def _measure_compaction(num_cps: int, refs_per_cp: int) -> dict:
-    legacy = _build_compaction_workload(False, num_cps, refs_per_cp)
-    streaming = _build_compaction_workload(True, num_cps, refs_per_cp)
-
-    peaks = {}
-    transients = {}
-    seconds = {}
-    results = {}
-    for label, backlog in (("legacy", legacy), ("new", streaming)):
-        tracemalloc.start()
-        start = time.perf_counter()
-        results[label] = backlog.maintain()
-        seconds[label] = time.perf_counter() - start
-        current, peaks[label] = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # ``current`` at the end is what compaction durably produced (the
-        # rewritten run pages, catalogue entries, Bloom filters) -- identical
-        # for both paths.  The transient excess over it is the working set
-        # the compactor itself needed: the materialised record lists on the
-        # legacy path, the per-table page buffers on the streaming one.
-        transients[label] = peaks[label] - current
-
-    if (results["legacy"].records_in, results["legacy"].records_out) != \
-            (results["new"].records_in, results["new"].records_out):
-        raise AssertionError("compactors disagree on record counts")
-    entry = _entry(seconds["legacy"], seconds["new"], results["new"].records_in)
-    entry["legacy_peak_bytes"] = peaks["legacy"]
-    entry["new_peak_bytes"] = peaks["new"]
-    entry["legacy_transient_bytes"] = transients["legacy"]
-    entry["new_transient_bytes"] = transients["new"]
-    entry["transient_memory_ratio"] = (
-        round(transients["legacy"] / transients["new"], 2) if transients["new"] else 0.0)
-    return {"entry": entry, "transients": transients}
-
-
-# ------------------------------------------------------------ clone expand
-
-def _clone_chain(depth: int, cloned_version: int = 5) -> CloneGraph:
-    graph = CloneGraph()
-    for child in range(1, depth + 1):
-        graph.add_clone(child, child - 1, cloned_version)
-    return graph
-
-
-def _expansion_input(num_blocks: int, depth: int) -> List[CombinedRecord]:
-    """A sorted Combined view shaped like a wide query over cloned volumes.
-
-    One live parent-line record per block, plus an override for every eighth
-    block so the expansion exercises the suppression path too.
-    """
-    records: List[CombinedRecord] = []
-    for block in range(num_blocks):
-        records.append(CombinedRecord(block, 1 + block % 7, block % 3, 0, 1, INFINITY))
-        if block % 8 == 0:
-            records.append(CombinedRecord(block, 1 + block % 7, block % 3,
-                                          1 + block % depth, 0, 4))
-    records.sort()
-    return records
-
-
-def _drain(iterator: Iterator) -> int:
-    return sum(1 for _ in iterator)
-
-
-def bench_clone_expand(num_blocks: int, depth: int, num_queries: int) -> dict:
-    """Clone expansion on deep chains: materialise-and-re-sort vs incremental.
-
-    One operation = one wide query whose Combined view covers ``num_blocks``
-    reference groups, expanded through a ``depth``-deep clone chain.  The
-    ``*_transient_growth`` fields compare each implementation's tracemalloc
-    peak at half and full width: the incremental generator holds one
-    reference group however wide the query is, while the materialised
-    expansion's working set tracks the full expanded result.
-    """
-    graph = _clone_chain(depth)
-    full = _expansion_input(num_blocks, depth)
-    half = _expansion_input(num_blocks // 2, depth)
-
-    if list(expand_clones(iter(full), graph)) != materialized_expand(full, graph):
-        raise AssertionError("clone expansion implementations disagree")
-
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        materialized_expand(full, graph)
-    legacy_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        _drain(expand_clones(iter(full), graph))
-    new_seconds = time.perf_counter() - start
-
-    peaks = {}
-    for label, records in (("half", half), ("full", full)):
-        tracemalloc.start()
-        materialized_expand(records, graph)
-        _, legacy_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        tracemalloc.start()
-        _drain(expand_clones(iter(records), graph))
-        _, new_peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        peaks[label] = (legacy_peak, new_peak)
-
-    entry = _entry(legacy_seconds, new_seconds, num_queries)
-    entry["chain_depth"] = depth
-    entry["legacy_peak_bytes"] = peaks["full"][0]
-    entry["new_peak_bytes"] = peaks["full"][1]
-    entry["legacy_transient_growth"] = round(peaks["full"][0] / peaks["half"][0], 2)
-    entry["new_transient_growth"] = round(peaks["full"][1] / peaks["half"][1], 2)
-    return entry
 
 
 # --------------------------------------------------------- narrow dispatch
 
 def _pr1_narrow_query(backlog: Backlog, first_block: int, num_blocks: int):
-    """The PR 1 read path: Bloom-select runs, gather lists, materialise.
+    """The raw narrow arm: Bloom-select runs, gather lists, materialise.
 
-    This is the baseline the ~15% streaming-chain overhead was measured
-    against; the size-dispatched engine must stay within a few percent of it
-    on narrow queries.  The pipeline itself is the engine's retained
+    The size-dispatched engine must stay within a few percent of this on
+    narrow queries.  The pipeline itself is the engine's
     ``_query_materialized`` (one maintained implementation, also driven by
     the differential tests); what this baseline omits is everything the
     production ``query_range`` wrapper adds around it -- the dispatch
@@ -713,15 +464,15 @@ def _build_narrow_workload(num_cps: int, refs_per_cp: int) -> Backlog:
 
 
 def bench_narrow_dispatch(num_cps: int, refs_per_cp: int, num_queries: int) -> dict:
-    """Narrow (64-block) queries: PR 1 baseline vs dispatched vs streaming.
+    """Narrow (64-block) queries: raw narrow arm vs dispatched vs row pipeline.
 
     One operation = one 64-block range query against a compacted database
-    (1-2 candidate runs).  ``legacy`` is the raw PR 1 materialised pipeline;
+    (1-2 candidate runs).  ``legacy`` is the raw narrow-arm record pipeline;
     ``new`` is ``QueryEngine.query_range`` with the default size dispatch,
     so the "speedup" is the fraction of the baseline the production engine
-    retains (target >= 0.95, i.e. <= ~5% overhead).  The forced streaming
-    chain is reported alongside as ``streaming_us_per_op`` -- the constant
-    factor the dispatch reclaims.
+    retains (target >= 0.95, i.e. <= ~5% overhead).  The row pipeline
+    (``narrow_dispatch_max_runs=0``) is reported alongside as
+    ``streaming_us_per_op`` -- the constant factor the dispatch reclaims.
     """
     from dataclasses import replace
 
@@ -744,20 +495,29 @@ def bench_narrow_dispatch(num_cps: int, refs_per_cp: int, num_queries: int) -> d
                 streaming_engine.query_range(position, 64) != reference:
             raise AssertionError("narrow-query paths disagree")
 
-    start = time.perf_counter()
-    for position in positions:
-        _pr1_narrow_query(backlog, position, 64)
-    legacy_seconds = time.perf_counter() - start
+    # The gate is a few-percent ratio of two ~80 ms loops, and one full
+    # collection over this database's heap costs several percent of a loop:
+    # which loop it lands in depends on how much the sections run before
+    # this one allocated.  Pause collection so the ratio does not.
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for position in positions:
+            _pr1_narrow_query(backlog, position, 64)
+        legacy_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    for position in positions:
-        engine.query_range(position, 64)
-    new_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        for position in positions:
+            engine.query_range(position, 64)
+        new_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    for position in positions:
-        streaming_engine.query_range(position, 64)
-    streaming_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        for position in positions:
+            streaming_engine.query_range(position, 64)
+        streaming_seconds = time.perf_counter() - start
+    finally:
+        gc.enable()
 
     fast_path = engine.stats.narrow_fast_path_queries
     if fast_path == 0:
@@ -1552,105 +1312,7 @@ def bench_cache_invalidate(num_files: int, pages_per_file: int) -> dict:
     return _entry(legacy_seconds, new_seconds, num_files)
 
 
-# ----------------------------------------------------------------- columnar
-
-def _build_columnar_workload(columnar: bool, num_cps: int,
-                             refs_per_cp: int) -> Backlog:
-    """Two identically-populated databases differing only in pipeline mode.
-
-    Deliberately left *uncompacted* (no ``maintain()``) so whole-device scans
-    merge several L0 runs per partition; records spread across eight lines
-    with clones registered off one of them, so the inheritance expansion
-    stage does real per-group work without saturating every group -- the
-    shape the streaming dispatch sends every wide query through.
-    """
-    config = BacklogConfig(partition_size_blocks=1 << 14, track_timing=False,
-                           columnar_pipeline=columnar)
-    backlog = Backlog(backend=MemoryBackend(), config=config)
-    rng = random.Random(4242)
-    live: List[Tuple[int, int, int]] = []
-    for cp in range(num_cps):
-        for i in range(refs_per_cp):
-            if live and rng.random() < 0.1:
-                backlog.remove_reference(*live.pop(rng.randrange(len(live))))
-            else:
-                entry = (rng.randrange(1 << 16), 1 + i % 64, cp * refs_per_cp + i,
-                         i % 8)
-                backlog.add_reference(*entry)
-                live.append(entry)
-        backlog.checkpoint()
-    backlog.register_clone(8, 1, num_cps // 2 - 1)
-    backlog.register_clone(9, 8, num_cps // 2)
-    return backlog
-
-
-def bench_columnar_scan(num_cps: int, refs_per_cp: int,
-                        num_queries: int) -> dict:
-    """Whole-device streaming scans: tuple pipeline vs columnar row pipeline.
-
-    One operation = one whole-device ``query_range`` over an uncompacted,
-    cloned database (both modes take the streaming dispatch at this width).
-    ``legacy`` is the retained tuple pipeline (``columnar_pipeline=False``:
-    per-record ``unpack`` into NamedTuples at the leaf, tuple-keyed heap
-    merge, NamedTuple join/fold); ``new`` is the columnar pipeline (bulk
-    leaf decode into big-endian row slabs, byte-string heap merge,
-    :func:`~repro.core.columnar.join_rows_for_query` +
-    :func:`~repro.core.columnar.fold_rows_for_query`, NamedTuples
-    materialised only at the ``query_range`` boundary).  Byte-identical
-    answers and exactly-equal ``pages_read`` are asserted inline -- the
-    columnar path must win on decode shape, not on reading less.
-    """
-    legacy_backlog = _build_columnar_workload(False, num_cps, refs_per_cp)
-    new_backlog = _build_columnar_workload(True, num_cps, refs_per_cp)
-    device_blocks = 1 << 16
-
-    legacy_engine = legacy_backlog._query_engine
-    new_engine = new_backlog._query_engine
-
-    # Equivalence gate: identical answers, identical exact page accounting.
-    before_legacy = legacy_engine.stats.pages_read
-    before_new = new_engine.stats.pages_read
-    legacy_answer = legacy_backlog.query_range(0, device_blocks)
-    new_answer = new_backlog.query_range(0, device_blocks)
-    if legacy_answer != new_answer:
-        raise AssertionError("columnar scan answers differ from tuple pipeline")
-    legacy_pages = legacy_engine.stats.pages_read - before_legacy
-    new_pages = new_engine.stats.pages_read - before_new
-    if legacy_pages != new_pages:
-        raise AssertionError(
-            f"columnar scan page accounting diverged: "
-            f"tuple={legacy_pages} columnar={new_pages}")
-
-    # Whole-device scans are long enough (tens of ms) that scheduler jitter
-    # and mid-batch GC cycles can swing the ratio; pause collection and keep
-    # the best of three batches per side -- both pipelines see identical
-    # cache state batch to batch.
-    legacy_seconds = new_seconds = None
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(num_queries):
-                legacy_backlog.query_range(0, device_blocks)
-            elapsed = time.perf_counter() - start
-            if legacy_seconds is None or elapsed < legacy_seconds:
-                legacy_seconds = elapsed
-
-            start = time.perf_counter()
-            for _ in range(num_queries):
-                new_backlog.query_range(0, device_blocks)
-            elapsed = time.perf_counter() - start
-            if new_seconds is None or elapsed < new_seconds:
-                new_seconds = elapsed
-    finally:
-        gc.enable()
-
-    entry = _entry(legacy_seconds, new_seconds, num_queries)
-    entry["back_references_per_scan"] = len(new_answer)
-    entry["pages_read_per_scan"] = new_pages
-    return entry
-
+# ---------------------------------------------------------------- page codec
 
 def bench_cluster_page_codec(num_refs: int, num_pages: int) -> dict:
     """QUERY_PAGE reply codec: v1 pickled NamedTuples vs v2 packed rows.
@@ -1668,9 +1330,9 @@ def bench_cluster_page_codec(num_refs: int, num_pages: int) -> dict:
     from repro.cluster.protocol import (
         Opcode, QueryPage, decode_frame, encode_frame)
 
-    # Page shape matches what whole-device scans actually ship (measured on
-    # the ``columnar_scan`` workload): every owner one merged range, the
-    # overwhelming majority still live (``to = INFINITY``).
+    # Page shape matches what whole-device scans actually ship: every owner
+    # one merged range, the overwhelming majority still live
+    # (``to = INFINITY``).
     rng = random.Random(90210)
     owners = []
     for i in range(num_refs):
@@ -1702,9 +1364,10 @@ def bench_cluster_page_codec(num_refs: int, num_pages: int) -> dict:
             type(new_decoded[0]) is not BackReference:
         raise AssertionError("packed page codec decodes differently from v1")
 
-    # Same discipline as ``bench_columnar_scan``: pause GC (a page round
-    # trip allocates every decoded NamedTuple afresh, so collection noise
-    # lands arbitrarily) and keep the best of three batches per side.
+    # Page round trips are short enough that scheduler jitter and mid-batch
+    # GC cycles can swing the ratio: pause GC (a round trip allocates every
+    # decoded NamedTuple afresh, so collection noise lands arbitrarily) and
+    # keep the best of three batches per side.
     legacy_seconds = new_seconds = None
     gc.collect()
     gc.disable()
@@ -1766,8 +1429,6 @@ def run(quick: bool) -> dict:
     # to compare shrunk numbers.
     gated_scale = 4
     results = {
-        "write_store_insert_flush": bench_write_store(
-            num_ops=25_000 * gated_scale, ops_per_cp=2_000),
         **bench_bloom(num_items=8_000 * gated_scale,
                       num_probes=20_000 * gated_scale),
         "leaf_decode": bench_leaf_decode(
@@ -1781,8 +1442,6 @@ def run(quick: bool) -> dict:
         # a shrunk workload would under-report the speedup the wide-range
         # target is calibrated against.  The section costs only a few seconds.
         **bench_join(num_keys=80_000, num_runs=8),
-        "clone_expand": bench_clone_expand(
-            num_blocks=3_000 * gated_scale, depth=16, num_queries=3),
         # Like the join section, the narrow-dispatch workload keeps its full
         # size in quick mode: the comparison is a per-query constant factor
         # and shrinking the database would mostly measure build time anyway.
@@ -1795,8 +1454,6 @@ def run(quick: bool) -> dict:
         "cursor": bench_cursor(
             num_cps=6, refs_per_cp=4_000, device_blocks=1 << 16,
             page_size=512, num_queries=4),
-        "compaction": bench_compaction(
-            num_cps=6, refs_per_cp=4_000 * scale),
         # The parallel-flush workload keeps its full size in quick mode too:
         # the comparison is against a fixed simulated device time, and a
         # shrunk workload would let per-checkpoint constant costs swamp the
@@ -1830,10 +1487,8 @@ def run(quick: bool) -> dict:
             num_records=30_000 * gated_scale, num_builds=3),
         "cache_invalidate": bench_cache_invalidate(
             num_files=60 * scale, pages_per_file=48),
-        # PR 10: both columnar sections are gated, so they run full-size in
-        # quick mode like every other gated section.
-        "columnar_scan": bench_columnar_scan(
-            num_cps=8, refs_per_cp=3_000, num_queries=3),
+        # Gated, so it runs full-size in quick mode like every other gated
+        # section.
         "cluster_page_codec": bench_cluster_page_codec(
             num_refs=4_000, num_pages=30),
     }
@@ -1841,7 +1496,7 @@ def run(quick: bool) -> dict:
     # that ride along in a gated bench call (e.g. ``bloom_add`` next to the
     # gated ``bloom_probe``) were measured full-size and are stamped so.
     scaled_sections = frozenset(
-        ("leaf_decode", "merge_sorted_runs", "compaction", "cache_invalidate"))
+        ("leaf_decode", "merge_sorted_runs", "cache_invalidate"))
     for name, entry in _flat_entries(results):
         entry["quick"] = bool(quick and name.split(".", 1)[0] in scaled_sections)
     return results
@@ -1864,14 +1519,11 @@ def main(argv: Sequence[str] = None) -> int:
         "python": sys.version.split()[0],
         "unix_time": int(time.time()),
         "comparison": (
-            "legacy = seed implementations retained in-tree "
-            "(RBTreeWriteStore, MD5 Bloom hashing, per-record unpack, "
+            "legacy = baselines (MD5 Bloom hashing, per-record unpack, "
             "tuple-keyed heap merge, materialized_join dict re-grouping, "
-            "materialising compactor, scan-based cache invalidation, "
-            "materialized_expand clone expansion, PR 1 materialised "
-            "narrow-query pipeline, materialising query_range list surface, "
-            "tuple streaming pipeline, v1 pickled QUERY_PAGE replies); "
-            "new = current hot paths"
+            "scan-based cache invalidation, raw narrow-arm record pipeline, "
+            "materialising query_range list surface, v1 pickled QUERY_PAGE "
+            "replies); new = current hot paths"
         ),
         "targets": TARGETS,
         "results": results,

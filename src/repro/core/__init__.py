@@ -12,21 +12,14 @@ from repro.core.cursor import (
     encode_resume_token,
 )
 from repro.core.deletion_vector import DeletionVector
-from repro.core.inheritance import CloneGraph, expand_clones, materialized_expand
-from repro.core.join import (
-    combine_for_query,
-    join_tables,
-    materialized_join,
-    merge_join_for_query,
-    stream_join_tables,
-)
+from repro.core.inheritance import CloneGraph, materialized_expand
+from repro.core.join import materialized_join, stream_join_tables
 from repro.core.lsm import RunManager, merge_sorted_runs, run_name
 from repro.core.masking import (
     AllVersionsAuthority,
     ExplicitVersionAuthority,
     SnapshotManagerAuthority,
     VersionAuthority,
-    iter_mask_records,
     mask_records,
 )
 from repro.core.partitioning import Partitioner
@@ -92,16 +85,11 @@ __all__ = [
     "VerificationReport",
     "VersionAuthority",
     "WriteStore",
-    "combine_for_query",
     "decode_resume_token",
     "encode_resume_token",
-    "expand_clones",
-    "iter_mask_records",
-    "join_tables",
     "mask_records",
     "materialized_expand",
     "materialized_join",
-    "merge_join_for_query",
     "merge_sorted_runs",
     "stream_join_tables",
     "parse_run_name",

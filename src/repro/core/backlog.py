@@ -111,7 +111,6 @@ class Backlog(ReferenceListener):
         self._compactor = Compactor(
             self.run_manager, self.config, self.version_authority,
             self.clone_graph, self.deletion_vector,
-            streaming=self.config.streaming_compaction,
             executor=self._maintenance_executor,
             executor_stats=self.stats.maintenance_pool,
         )

@@ -1,38 +1,38 @@
 """The columnar row pipeline: join and fold over big-endian record rows.
 
-The streaming query pipeline's stages historically exchanged one NamedTuple
-per record; profiling (``BENCH_hotpath.json``'s ``join_*`` sections) showed
-that constructing those objects -- at leaf decode, under the heap merge,
-inside the sort-merge join, and again per synthesized/grouped record -- was
-the remaining single-process hot path.  This module re-implements the two
-record-level stages of the streaming pipeline over the slab *rows* of
+The wide arm of the query engine (:mod:`repro.core.query`) never builds a
+record object: constructing one NamedTuple per record -- at leaf decode,
+under the heap merge, inside the sort-merge join, and again per
+synthesized/grouped record -- used to be the single-process hot path.  This
+module implements the record-level stages over the slab *rows* of
 :mod:`repro.core.records` instead:
 
 * a row is a fixed-width big-endian ``bytes`` string (40 B for From/To,
   48 B for Combined) whose ``memcmp`` order equals the record tuple order,
   so merging, grouping and joining need no Python objects per record;
-* :func:`join_rows_for_query` mirrors
-  :func:`repro.core.join.merge_join_for_query` exactly -- same fast paths,
-  same per-key output multiset, same one-row lookahead per input stream --
-  but CP-list joining is byte-prefix surgery (``row[:40] + to_bytes``)
-  instead of ``CombinedRecord`` construction;
+* :func:`join_rows_for_query` is the sort-merge join of §4.2.1 with one row
+  of lookahead per input stream; CP-list joining is byte-prefix surgery
+  (``row[:40] + to_bytes``) instead of ``CombinedRecord`` construction;
 * :func:`fold_rows_for_query` fuses the remaining per-record stages --
   clone expansion (:func:`repro.core.inheritance.expand_row_group`),
-  snapshot masking (the same per-line ``valid_versions`` cache as
-  :func:`repro.core.masking.iter_mask_records`) and the owner group fold
-  (:meth:`repro.core.query.QueryEngine._iter_group_sorted`) -- into one
-  pass that yields plain owner tuples ``(block, inode, offset, line,
+  snapshot masking (one ``valid_versions`` lookup per distinct line, as in
+  :func:`repro.core.masking.mask_records`) and the owner group fold -- into
+  one pass that yields plain owner tuples ``(block, inode, offset, line,
   ranges)``.  The tuples are shape-identical to
   :class:`~repro.core.records.BackReference`; materialisation happens at
-  the public API boundary (:class:`repro.core.cursor.QueryResult`).
+  the public API boundary (:class:`repro.core.cursor.QueryResult`);
+* :func:`scan_rows_bulk` runs the same stages as flat list passes for the
+  list surface, which drains its result anyway.
 
 Equivalence contract: for identical inputs, ``fold_rows_for_query(
-join_rows_for_query(...))`` emits exactly the owners -- same values, same
-order, after the same number of input records pulled -- as the tuple chain
-``_iter_group_sorted(iter_mask_records(expand_clones(merge_join_for_query(
-...))))``.  The differential suite (``tests/test_columnar_equivalence.py``)
-and the ``columnar_scan`` benchmark section hold the two pipelines to
-byte-identical answers and exactly equal ``pages_read``.
+join_rows_for_query(...))`` and :func:`scan_rows_bulk` emit exactly the
+owners -- same values, same order -- that the narrow arm's record stages
+(:func:`~repro.core.join.materialized_join` ->
+:func:`~repro.core.inheritance.materialized_expand` ->
+:func:`~repro.core.masking.mask_records` -> ``QueryEngine._group``) produce
+from the same records; ``tests/test_columnar_equivalence.py``,
+``tests/test_streaming_equivalence.py`` and ``tests/test_clone_chains.py``
+hold them to that.
 """
 
 from __future__ import annotations
@@ -114,18 +114,24 @@ def join_rows_for_query(
 ) -> Iterator[bytes]:
     """Streaming Combined view over *sorted* big-endian row iterators.
 
-    Row-for-record identical to :func:`repro.core.join.merge_join_for_query`:
-    the same pure-pass-through and pure-live fast paths, the same per-key
-    join (unconsumed To entries become ``[0, to)`` overrides, matched pairs
-    take the smallest To past their From, leftover Froms go live to
-    ``INFINITY``), and the same in-group sort producing a globally sorted
-    Combined row stream.  No CP is ever converted to an integer: the
-    ``from < to`` matching compares 8-byte big-endian field slices, and
-    output rows are spliced from input bytes (``row + INFINITY_BE`` turns a
-    live From row into its Combined row).
+    Emits, in fully sorted order, the rows of exactly the records
+    :func:`repro.core.join.materialized_join` returns, holding only one join
+    key's rows in memory at a time.  Keys with no To entries take fast paths
+    (pre-joined Combined rows pass through; pure-live From groups need no
+    list and no sort); otherwise unconsumed To entries become ``[0, to)``
+    overrides, matched pairs take the smallest To past their From, leftover
+    Froms go live to ``INFINITY``, and an in-group sort keeps the stream
+    globally sorted.  No CP is ever converted to an integer: the ``from <
+    to`` matching compares 8-byte big-endian field slices, and output rows
+    are spliced from input bytes (``row + INFINITY_BE`` turns a live From
+    row into its Combined row).
 
-    ``inode_filter`` is the same whole-key pushdown as the tuple join,
-    checked against the key's packed inode field.
+    ``inode_filter`` is the cursor API's filter pushdown: join keys whose
+    inode is not in the set are dropped *before* any CP-list joining, clone
+    expansion, masking or grouping happens.  Dropping whole keys here is
+    exact -- clone expansion groups by ``(block, inode, offset)`` and never
+    synthesizes records for a different inode, so a filtered key cannot
+    influence any surviving owner.
     """
     packed_inodes = (None if inode_filter is None
                      else {_ROW1_PACK(inode) for inode in inode_filter})
@@ -145,8 +151,7 @@ def join_rows_for_query(
                     yield row + INFINITY_BE
                 continue
         # The groups arrive sorted by full row, so the CP fields within one
-        # key are pre-sorted -- the tuple join's defensive sort is a no-op
-        # here by construction.
+        # key are pre-sorted.
         output = list(combined_group)
         append = output.append
         to_index = 0
@@ -173,13 +178,15 @@ def join_rows_for_query(
 def _expand_rows(rows: Iterable[bytes], children_rows) -> Iterator[bytes]:
     """Clone expansion over a sorted Combined row stream.
 
-    The row counterpart of the clone branch of
-    :func:`repro.core.inheritance.expand_clones`: buffer one ``(block,
-    inode, offset)`` group (deduplicating adjacent equal rows while
-    building, exactly like the tuple path), expand it through
-    :func:`~repro.core.inheritance.expand_row_group` and yield the sorted,
-    duplicate-free result.  One row of lookahead past each group, same as
-    the tuple generator.  ``children_rows`` is the clone graph in
+    Buffers one ``(block, inode, offset)`` group (deduplicating adjacent
+    equal rows while building -- the same record can be gathered twice, e.g.
+    buffered and flushed copies within one CP), expands it through
+    :func:`~repro.core.inheritance.expand_row_group` and yields the sorted,
+    duplicate-free result: byte-for-byte the rows of the list
+    :func:`~repro.core.inheritance.materialized_expand` would return.  Reads
+    just one row past the current group, never the whole input; abandoning
+    the generator early is safe and releases the group buffer.
+    ``children_rows`` is the clone graph in
     :func:`~repro.core.inheritance.pack_children_map` form.
     """
     group: List[bytes] = []
@@ -210,15 +217,19 @@ def fold_rows_for_query(
 
     Consumes the sorted Combined row stream of :func:`join_rows_for_query`
     and yields one plain owner tuple ``(block, inode, offset, line,
-    ranges)`` per surviving ``(block, inode, offset, line)`` identity --
-    value- and order-identical to the tuple chain ``_iter_group_sorted(
-    iter_mask_records(expand_clones(...)))``, with the same single row of
-    lookahead past each emitted owner.  Per surviving row the only Python
-    objects built are the two range ints; identities stay 32-byte key
-    slices until an owner is emitted.
+    ranges)`` per surviving ``(block, inode, offset, line)`` identity, the
+    moment the identity changes -- which is what lets a cursor's limit or an
+    abandoned ``.first()`` stop the whole generator chain after one
+    reference group.  Per surviving row the only Python objects built are
+    the two range ints; identities stay 32-byte key slices until an owner is
+    emitted.
 
-    ``line_filter`` applies at emission, after inheritance resolution, just
-    like the tuple path's pushdown.
+    ``line_filter`` is the cursor API's filter pushdown: only rows whose
+    line is in the set reach masking and the fold.  It cannot be applied any
+    earlier: every row of a group still participates in inheritance
+    resolution (a filtered parent line may make a reference visible in a
+    clone line the caller did ask for), so the fixpoint always runs over
+    the full group and the filter cuts the emitted stream only.
     """
     if clone_graph:
         rows = _expand_rows(rows, pack_children_map(clone_graph.children_map()))

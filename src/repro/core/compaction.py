@@ -13,16 +13,12 @@ queries.  For each partition it:
 4. writes one compacted Combined run and one compacted From run (holding the
    still-incomplete, live records), replacing all previous runs.
 
-The default implementation is a streaming generator chain: the merged run
-iterators feed the deletion-vector filter, the sort-merge join
+The implementation is a streaming generator chain: the merged run iterators
+feed the deletion-vector filter, the sort-merge join
 (:func:`~repro.core.join.stream_join_tables`), the purge predicate and the
 two incremental run writers record by record, so a partition's compaction
 holds at most one unflushed output page per table (plus one decoded leaf
 page per input run) in memory -- never the partition's full record lists.
-The pre-streaming implementation, which materialises each table before
-joining, is retained behind ``BacklogConfig.streaming_compaction=False`` (or
-``Compactor(..., streaming=False)``); the differential tests prove both
-produce byte-identical compacted runs.
 
 Entries suppressed by the deletion vector are dropped during the rewrite, so
 a successful full compaction clears the vector.
@@ -32,17 +28,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import BacklogConfig
 from repro.core.deletion_vector import DeletionVector
 from repro.core.executor import PartitionExecutor
 from repro.core.inheritance import CloneGraph
-from repro.core.join import join_tables, stream_join_tables
+from repro.core.join import stream_join_tables
 from repro.core.lsm import RunManager, run_name
 from repro.core.masking import VersionAuthority
 from repro.core.read_store import CorruptPageError, ReadStoreReader, ReadStoreWriter
-from repro.core.records import CombinedRecord, FromRecord, ToRecord
+from repro.core.records import CombinedRecord
 from repro.core.stats import ExecutorStats, MaintenanceStats
 from repro.util.intervals import intersect_ranges
 
@@ -66,12 +62,6 @@ class Compactor:
 
     Parameters
     ----------
-    streaming:
-        When True (default), partitions are compacted through the streaming
-        generator chain; when False, through the retained materialising
-        implementation.  Both write byte-identical runs -- run names are
-        allocated identically up front -- so the flag only trades memory
-        footprint for the legacy list-based control flow.
     executor:
         The worker pool over which :meth:`compact_all` fans its per-partition
         compactions (``BacklogConfig.maintenance_workers``).  Partitions are
@@ -91,7 +81,6 @@ class Compactor:
         authority: VersionAuthority,
         clone_graph: CloneGraph,
         deletion_vector: DeletionVector,
-        streaming: bool = True,
         executor: Optional[PartitionExecutor] = None,
         executor_stats: Optional[ExecutorStats] = None,
     ) -> None:
@@ -100,7 +89,6 @@ class Compactor:
         self.authority = authority
         self.clone_graph = clone_graph
         self.deletion_vector = deletion_vector
-        self.streaming = streaming
         self.executor = executor or PartitionExecutor(1, name="maintenance")
         self.executor_stats = executor_stats
         self._sequence = 0
@@ -186,10 +174,8 @@ class Compactor:
         ``_names`` carries the output run names :meth:`compact_all`
         pre-allocated; direct callers leave it unset and the names are
         allocated here instead.  Either way both names are fixed up front, in
-        a fixed order, so the streaming and materialising paths produce
-        identical files even though they learn whether a table is empty at
-        different times.  A sequence number consumed for an empty table is
-        simply skipped.
+        a fixed order, before it is known whether a table is empty; a
+        sequence number consumed for an empty table is simply skipped.
         """
         bytes_before = sum(r.size_bytes for r in self.run_manager.runs_for(partition))
 
@@ -199,12 +185,8 @@ class Compactor:
 
         while True:
             try:
-                if self.streaming:
-                    records_in, records_out, purged, new_runs = self._compact_streaming(
-                        partition, combined_name, from_name)
-                else:
-                    records_in, records_out, purged, new_runs = self._compact_materialized(
-                        partition, combined_name, from_name)
+                records_in, records_out, purged, new_runs = self._compact_streaming(
+                    partition, combined_name, from_name)
                 break
             except CorruptPageError as error:
                 # A damaged *input* page: quarantine the run and recompact
@@ -275,60 +257,11 @@ class Compactor:
                 new_runs[table].append(self._reopen_through_cache(built))
         return counters[0], records_out, purged, new_runs
 
-    # -------------------------------------------------------- materialising
-
-    def _compact_materialized(
-        self, partition: int, combined_name: str, from_name: str,
-    ) -> tuple[int, int, int, Dict[str, List[ReadStoreReader]]]:
-        """The pre-streaming path: materialise, join, purge, then write."""
-        froms: List[FromRecord] = []
-        tos: List[ToRecord] = []
-        combined: List[CombinedRecord] = []
-        records_in = 0
-        vector = self.deletion_vector
-        for table, sink in (("from", froms), ("to", tos), ("combined", combined)):
-            merged = self.run_manager.iter_table(partition, table)
-            if vector:
-                for record in merged:
-                    records_in += 1
-                    if not vector.is_suppressed(record):
-                        sink.append(record)
-            else:
-                # Nothing is suppressed: skip the per-record check entirely.
-                sink.extend(merged)
-                records_in += len(sink)
-
-        complete, incomplete = join_tables(froms, tos, combined)
-        kept, purged = self._purge(complete)
-
-        new_runs: Dict[str, List[ReadStoreReader]] = {"combined": [], "from": [], "to": []}
-        combined_reader = self._write_compacted(combined_name, "combined", kept,
-                                                self.config.combined_bloom_bits)
-        if combined_reader is not None:
-            new_runs["combined"].append(combined_reader)
-        from_reader = self._write_compacted(from_name, "from", incomplete,
-                                            self.config.run_bloom_bits)
-        if from_reader is not None:
-            new_runs["from"].append(from_reader)
-        return records_in, len(kept) + len(incomplete), purged, new_runs
-
     # ------------------------------------------------------------ internals
-
-    def _purge(self, records: Sequence[CombinedRecord]) -> tuple[List[CombinedRecord], int]:
-        """Drop complete records that no surviving version can ever need."""
-        kept: List[CombinedRecord] = []
-        purged = 0
-        pinned_cache: Dict[int, Optional[Sequence[int]]] = {}
-        for record in records:
-            if self._should_keep(record, pinned_cache):
-                kept.append(record)
-            else:
-                purged += 1
-        return kept, purged
 
     def _should_keep(self, record: CombinedRecord,
                      pinned_cache: Dict[int, Optional[Sequence[int]]]) -> bool:
-        """Purge predicate for one complete record (shared by both paths)."""
+        """Purge predicate: can any surviving version still need this record?"""
         line = record.line
         # Override records (from == 0) of a clone line are tombstones
         # that suppress structural inheritance from the parent snapshot.
@@ -358,17 +291,6 @@ class Compactor:
         pinned = set(valid)
         pinned.update(self.clone_graph.clone_versions(line))
         return sorted(pinned)
-
-    def _write_compacted(self, name: str, table: str, records: Sequence,
-                         bloom_bits: int) -> Optional[ReadStoreReader]:
-        """Write a compacted run without registering it in the catalogue yet."""
-        if not records:
-            return None
-        writer = ReadStoreWriter(self.run_manager.backend, name, table, bloom_bits=bloom_bits)
-        built = writer.build(iter(records))
-        if built is None:
-            return None
-        return self._reopen_through_cache(built)
 
     def _reopen_through_cache(self, built: ReadStoreReader) -> ReadStoreReader:
         """Re-open a freshly written run through the shared page cache."""

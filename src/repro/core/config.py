@@ -65,34 +65,16 @@ class BacklogConfig:
     narrow_dispatch_max_runs:
         Size dispatch for the query read path: when the Bloom prefilter
         leaves at most this many candidate runs, the query engine answers
-        through the retained materialising pipeline (gather lists,
+        through the record-list pipeline (gather lists,
         ``materialized_join``, ``materialized_expand``, dict grouping)
-        instead of the streaming generator chain, whose fixed per-query cost
-        is not worth paying for one or two tiny run slices.  The fast path
-        additionally applies only to ranges of at most
-        :data:`repro.core.query.NARROW_QUERY_MAX_BLOCKS` blocks, so wide
-        queries keep the streaming pipeline's flat-memory guarantee even
+        instead of the row pipeline (:mod:`repro.core.columnar`), whose
+        fixed per-query cost is not worth paying for one or two tiny run
+        slices.  The narrow arm additionally applies only to ranges of at
+        most :data:`repro.core.query.NARROW_QUERY_MAX_BLOCKS` blocks, so
+        wide queries keep the row pipeline's flat-memory guarantee even
         over a freshly compacted (few-run) database.  ``0`` disables the
-        fast path and forces every query through the streaming pipeline
-        (both return identical answers; the differential suite enforces it).
-    streaming_compaction:
-        When True (the default), database maintenance runs the streaming
-        generator-chain compactor that holds at most one output page per
-        table in memory; when False, the retained materialising compactor is
-        used.  Both produce byte-identical runs (the differential tests in
-        ``tests/test_streaming_equivalence.py`` enforce this).
-    columnar_pipeline:
-        When True (the default), the streaming query pipeline runs on
-        big-endian row slabs (:mod:`repro.core.columnar`): leaf pages decode
-        in one batched pass into 40/48-byte row strings, and merge, join,
-        clone expansion, masking and the owner fold all operate on those
-        rows, materialising :class:`~repro.core.records.BackReference`
-        objects only at the public API boundary.  When False, the retained
-        tuple pipeline (one NamedTuple per record per stage) runs instead.
-        Dispatch, emission order, resume tokens, answers and per-query page
-        accounting are identical in both modes
-        (``tests/test_columnar_equivalence.py`` enforces it); the flag
-        exists as the differential-testing ablation, not as tuning.
+        narrow arm and sends every query through the row pipeline (both
+        return identical answers; the differential suite enforces it).
     flush_workers / maintenance_workers:
         Sizes of the partition-sharded worker pools
         (:class:`~repro.core.executor.PartitionExecutor`): ``flush_workers``
@@ -109,7 +91,7 @@ class BacklogConfig:
         how CI's parallel matrix leg drives the whole suite through the
         parallel paths.
     query_workers:
-        Size of the read-side pool: when greater than 1, a streaming
+        Size of the read-side pool: when greater than 1, a wide
         multi-partition query drains the gathers of *later* partitions on
         worker threads while the caller consumes earlier ones, merging
         strictly at the partition boundary so cursor emission order, resume
@@ -174,8 +156,6 @@ class BacklogConfig:
     maintenance_interval_cps: Optional[int] = None
     use_bloom_filters: bool = True
     narrow_dispatch_max_runs: int = 2
-    streaming_compaction: bool = True
-    columnar_pipeline: bool = True
     flush_workers: int = field(
         default_factory=lambda: _workers_from_env("REPRO_FLUSH_WORKERS"))
     maintenance_workers: int = field(

@@ -15,59 +15,43 @@ The expansion is guaranteed to see every relevant override because the
 initial extraction is per physical block: all records for the block,
 whatever their line, are already in the input.
 
-Two expansion implementations are provided:
+Two expansion implementations serve the two arms of the query engine:
 
-* :func:`expand_clones` -- the production path: an incremental generator
-  over the clone DAG.  It consumes a stream of Combined records **sorted by
-  the record sort key** (exactly what
-  :func:`repro.core.join.merge_join_for_query` emits), resolves inheritance
-  one ``(block, inode, offset)`` reference group at a time as the groups
-  stream past, and yields a fully sorted, deduplicated output stream.  Its
-  transient working set is one reference group -- independent of the query
-  width -- so deep clone chains over wide ranges expand in flat memory.
+* :func:`materialized_expand` -- the narrow arm's expansion over record
+  NamedTuples in any order: deduplicate the whole (small) input, run the
+  iterative fixpoint over it and sort the result.  It is also the reference
+  the row expansion is tested against (``tests/test_clone_chains.py``,
+  ``tests/test_inheritance.py``).
 
-* :func:`materialized_expand` -- the pre-streaming implementation: collects
-  the entire result, runs the iterative fixpoint over it and re-sorts the
-  whole list per query.  Retained as first-class code so the differential
-  suite (``tests/test_clone_chains.py``, ``tests/test_streaming_equivalence``)
-  and ``benchmarks/bench_hotpath.py`` can drive both implementations through
-  identical inputs and prove they return identical answers.
+* :func:`expand_row_group` -- the wide arm's expansion over packed big-endian
+  Combined rows, one ``(block, inode, offset)`` reference group at a time.
+  :mod:`repro.core.columnar` feeds it the groups of a sorted row stream as
+  they stream past, so the transient working set is one reference group --
+  independent of the query width -- and deep clone chains over wide ranges
+  expand in flat memory.
 
 Splitting the expansion per reference group is exact, not an approximation:
 the algorithm only ever synthesizes records with the *same* ``(block, inode,
 offset)`` as the record it expands, and overrides are keyed by ``(block,
 inode, offset, line)``, so no information flows between groups.
 
-Streaming contract of :func:`expand_clones`
--------------------------------------------
-
-* **Input ordering** -- records must arrive sorted by their natural sort key
-  ``(block, inode, offset, line, from, to)``.  Adjacent duplicates (the same
-  record gathered twice, e.g. buffered and flushed copies within one CP) are
-  deduplicated; behaviour on unsorted input is undefined.
-* **Output ordering** -- the yielded stream is globally sorted by the same
-  key and duplicate-free; it is byte-for-byte the list
-  :func:`materialized_expand` would return.
-* **Exhaustion** -- the generator is single-use and lazily driven: it reads
-  just past the current reference group, never the whole input.  Abandoning
-  it early is safe and releases the group buffer.
-* **Clone visibility** -- a record of line ``l`` covering version ``v`` makes
-  the reference visible in every clone taken from ``(l, v)`` -- and
-  transitively in clones of those clones -- as the full range
-  ``[0, INFINITY)``, unless the initial result carries an override record
-  (``from = 0``) for that clone line.  Overrides are consulted from the
-  *initial* records of the group only, exactly as in §4.2.2: synthesized
-  records never suppress further inheritance.
+Clone visibility (both implementations): a record of line ``l`` covering
+version ``v`` makes the reference visible in every clone taken from ``(l,
+v)`` -- and transitively in clones of those clones -- as the full range
+``[0, INFINITY)``, unless the initial result carries an override record
+(``from = 0``) for that clone line.  Overrides are consulted from the
+*initial* records of the group only, exactly as in §4.2.2: synthesized
+records never suppress further inheritance.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.records import CombinedRecord, INFINITY, INFINITY_BE, ROW_STRUCTS
 
-__all__ = ["CloneGraph", "expand_clones", "expand_row_group",
-           "materialized_expand", "pack_children_map"]
+__all__ = ["CloneGraph", "expand_row_group", "materialized_expand",
+           "pack_children_map"]
 
 
 class CloneGraph:
@@ -151,52 +135,6 @@ class CloneGraph:
         return sorted(result)
 
 
-def _expand_group(
-    group: List[CombinedRecord],
-    children_map: Dict[int, List[Tuple[int, int]]],
-) -> List[CombinedRecord]:
-    """Run the §4.2.2 fixpoint over one ``(block, inode, offset)`` group.
-
-    ``group`` must be sorted and duplicate-free; the returned list is sorted
-    and duplicate-free.  When no line in the group has clone children the
-    group is returned unchanged (the common case: most blocks are not
-    referenced by cloned snapshots).
-    """
-    if not any(record[3] in children_map for record in group):
-        return group
-    # Overrides are taken from the *initial* records only (from = 0); within
-    # a group the identity collapses to the line number.
-    overrides = {record[3] for record in group if record[4] == 0}
-    seen: Set[CombinedRecord] = set(group)
-    out = list(group)
-    queue = list(group)
-    added = False
-    while queue:
-        record = queue.pop()
-        children = children_map.get(record[3])
-        if not children:
-            continue
-        block, inode, offset, _, from_cp, to_cp = record
-        for child_line, cloned_version in children:
-            if not from_cp <= cloned_version < to_cp:
-                continue
-            if child_line in overrides:
-                continue
-            inherited = CombinedRecord(block, inode, offset, child_line, 0, INFINITY)
-            if inherited in seen:
-                continue
-            seen.add(inherited)
-            out.append(inherited)
-            queue.append(inherited)
-            added = True
-    if added:
-        # Records compare natively in sort-key order; the group prefix is
-        # shared, so an in-group sort keeps the overall stream sorted.
-        out.sort()
-    return out
-
-
-_ROW6 = ROW_STRUCTS[6]
 _ROW1_PACK = ROW_STRUCTS[1].pack
 _ZERO8 = b"\x00" * 8
 #: The CP tail of a synthesized inherited row: ``from = 0, to = INFINITY``.
@@ -230,12 +168,14 @@ def expand_row_group(
     (:func:`repro.core.columnar.fold_rows_for_query`).  ``group`` must be
     sorted and duplicate-free row bytes sharing one ``(block, inode,
     offset)`` prefix; ``children_rows`` is the :func:`pack_children_map`
-    form of the clone graph.  Step-for-step :func:`_expand_group` -- same
-    override rule, same dedup, same in-group sort -- but entirely in byte
-    slices: the common no-clones-here case is one short-circuiting ``any``
-    of set probes, a match test is two slice compares, and a synthesized
-    inherited record is one 48-byte splice (``key24 + child_line8 +
-    _INHERIT_TAIL``) rather than a NamedTuple round trip.
+    form of the clone graph.  The returned list is sorted and
+    duplicate-free; when no line in the group has clone children the group
+    is returned unchanged (the common case: most blocks are not referenced
+    by cloned snapshots).  Everything stays in byte slices: the
+    no-clones-here case is one short-circuiting ``any`` of set probes, a
+    match test is two slice compares, and a synthesized inherited record is
+    one 48-byte splice (``key24 + child_line8 + _INHERIT_TAIL``) rather than
+    a NamedTuple round trip.
     """
     if not any(row[24:32] in children_rows for row in group):
         return group
@@ -273,81 +213,19 @@ def expand_row_group(
     return out
 
 
-def expand_clones(
-    records: Iterable[CombinedRecord],
-    clone_graph: CloneGraph,
-    *,
-    line_filter: Optional[AbstractSet[int]] = None,
-) -> Iterator[CombinedRecord]:
-    """Incrementally expand a *sorted* Combined stream with inherited records.
-
-    The streaming counterpart of :func:`materialized_expand` (see the module
-    docstring for the full contract): groups the input by ``(block, inode,
-    offset)`` as it streams past -- the sort order makes each group
-    contiguous -- runs the iterative inheritance algorithm of §4.2.2 on one
-    group at a time and yields the expanded groups in order.  Holds one
-    group, never the whole result; output is sorted and deduplicated.
-
-    ``line_filter`` is the cursor API's filter pushdown: only records whose
-    line is in the set are *yielded*, so filtered lines never reach the
-    masking and grouping stages.  The filter cannot be applied any earlier:
-    every record of a group still participates in inheritance resolution
-    (a filtered parent line may make a reference visible in a clone line the
-    caller did ask for), so the fixpoint always runs over the full group and
-    the filter cuts the emitted stream only.
-    """
-    if not clone_graph:
-        # No clones anywhere: the expansion is a pure dedup pass-through.
-        previous = None
-        for record in records:
-            if record != previous:
-                if line_filter is None or record[3] in line_filter:
-                    yield record
-                previous = record
-        return
-    children_map = clone_graph.children_map()
-    group: List[CombinedRecord] = []
-    g_block = g_inode = g_offset = None
-    previous = None
-    for record in records:
-        if record[0] != g_block or record[1] != g_inode or record[2] != g_offset:
-            if group:
-                yield from _filtered(_expand_group(group, children_map), line_filter)
-            group = [record]
-            g_block, g_inode, g_offset = record[0], record[1], record[2]
-        elif record != previous:
-            group.append(record)
-        previous = record
-    if group:
-        yield from _filtered(_expand_group(group, children_map), line_filter)
-
-
-def _filtered(
-    group: List[CombinedRecord], line_filter: Optional[AbstractSet[int]]
-) -> Iterable[CombinedRecord]:
-    """Apply the line pushdown to one expanded group (no-op when unset)."""
-    if line_filter is None:
-        return group
-    return [record for record in group if record[3] in line_filter]
-
-
 def materialized_expand(
     records: Sequence[CombinedRecord],
     clone_graph: CloneGraph,
 ) -> List[CombinedRecord]:
     """Expand an initial per-block result with inherited clone records.
 
-    The pre-streaming implementation of the iterative algorithm of §4.2.2:
-    deduplicate the whole input, run the fixpoint over one global work queue
-    (for every result record that covers a version from which a clone was
-    taken, add an implicit record for the clone line unless an override is
-    present, and repeat), then re-sort the entire result.  Accepts records in
-    any order.
-
-    Retained as the reference implementation for the differential equivalence
-    tests and the ``clone_expand`` hot-path benchmark; the query engine's
-    narrow-query fast path also uses it, where the result is small enough
-    that materialising beats the generator chain.
+    The iterative algorithm of §4.2.2 over the whole input at once:
+    deduplicate, run the fixpoint over one global work queue (for every
+    result record that covers a version from which a clone was taken, add an
+    implicit record for the clone line unless an override is present, and
+    repeat), then sort the entire result.  Accepts records in any order.
+    The query engine's narrow arm uses it, where the result is small enough
+    that materialising beats a generator chain.
     """
     # Deduplicate while preserving order: the same record can be gathered
     # more than once (e.g. buffered and flushed copies seen within one CP).

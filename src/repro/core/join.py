@@ -8,62 +8,43 @@ an implicit ``to = INFINITY``; a To tuple with no matching From is a
 structural-inheritance override (§4.2.2) and joins with an implicit
 ``from = 0``.
 
-Because every source of records -- read-store runs and the write stores --
-is sorted by ``(block, inode, offset, line, cp)``, the join is a classic
-sort-merge join: walk the streams key by key, join each key's small CP lists,
-and emit output in sorted order without ever materialising the inputs.  The
-streaming entry points operate on such sorted iterators:
+Two joins over NamedTuple records live here (the query engine's wide arm
+joins packed rows instead, :func:`repro.core.columnar.join_rows_for_query`):
 
-Streaming contract (shared by both streaming joins):
+* :func:`materialized_join` -- the query engine's narrow-arm join: dict
+  re-grouping plus a global sort over a handful of records in any order.
+  Live references appear with ``to = INFINITY``.  It is also the reference
+  the row join and :func:`stream_join_tables` are tested against.
+* :func:`stream_join_tables` -- compaction's join.  Every source of records
+  -- read-store runs and the write stores -- is sorted by ``(block, inode,
+  offset, line, cp)``, so this is a classic sort-merge join: walk the streams
+  key by key, join each key's small CP lists, and yield ``(table, record)``
+  pairs so that complete Combined records and the leftover live From records
+  stream into their respective compacted runs, each in its table's sort
+  order, without ever materialising the inputs.
+
+Streaming contract of :func:`stream_join_tables`:
 
 * **Input ordering** -- each input iterable must be sorted by its table's
   sort key; behaviour on unsorted input is undefined.  Duplicate records
-  are legal and pass through (the downstream clone expansion deduplicates).
+  are legal and pass through.
 * **Output ordering** -- output is emitted in ascending join-key order; the
-  records of one join key are emitted together, fully sorted, before the
-  next key's.  :func:`merge_join_for_query` therefore yields a globally
-  sorted Combined stream, which is what lets the query pipeline expand
-  clones and fold BackReferences in the same pass.
-* **Exhaustion** -- the generators read at most one record ahead per input
-  stream beyond the join key currently being emitted, and exhaust their
-  inputs exactly once; abandoning the generator early is safe and stops
-  pulling from the inputs.
-
-* :func:`merge_join_for_query` -- the query engine's join; yields the
-  Combined view in sort order, with live references as ``to = INFINITY``.
-* :func:`stream_join_tables` -- compaction's join; yields ``(table, record)``
-  pairs so that complete Combined records and the leftover live From records
-  can stream into their respective compacted runs, each in its table's sort
-  order.
-
-The pre-streaming implementations are retained as first-class code:
-
-* :func:`materialized_join` -- the dict re-grouping join the query path used
-  before the streaming rework; the differential tests and
-  ``benchmarks/bench_hotpath.py`` drive both implementations through
-  identical inputs.
-* :func:`join_tables` -- the whole-table list join used by the materialising
-  compaction path (kept behind ``BacklogConfig.streaming_compaction=False``).
-
-:func:`combine_for_query` remains the convenience entry point for callers
-holding unsorted record lists; it now sorts its inputs once and delegates to
-the merge-join instead of re-grouping through a dict.
+  records of one join key are emitted together, sorted per table, before the
+  next key's.
+* **Exhaustion** -- the generator reads at most one record ahead per input
+  stream beyond the join key currently being emitted, and exhausts its
+  inputs exactly once; abandoning it early is safe and stops pulling from
+  the inputs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.records import CombinedRecord, FromRecord, INFINITY, ReferenceKey, ToRecord
 
-__all__ = [
-    "combine_for_query",
-    "materialized_join",
-    "merge_join_for_query",
-    "join_tables",
-    "stream_join_tables",
-]
+__all__ = ["materialized_join", "stream_join_tables"]
 
 #: The shared join key: the first four record fields of every table.
 _KEY_WIDTH = 4
@@ -115,7 +96,7 @@ def _iter_key_groups(
     each be sorted by their table's sort key (which shares the leading four
     fields), as read-store runs and write-store snapshots are.
 
-    This sits on the per-record query hot path, hence the flat, inlined
+    This sits on the per-record compaction hot path, hence the flat, inlined
     shape: local iterator/lookahead variables and unpacked field comparisons
     instead of per-record key-tuple slicing.
     """
@@ -154,55 +135,6 @@ def _iter_key_groups(
             combined_group.append(combined_head)
             combined_head = next(combined_iter, None)
         yield key, from_group, to_group, combined_group
-
-
-def merge_join_for_query(
-    froms: Iterable[FromRecord],
-    tos: Iterable[ToRecord],
-    combined: Iterable[CombinedRecord] = (),
-    *,
-    inode_filter: Optional[AbstractSet[int]] = None,
-) -> Iterator[CombinedRecord]:
-    """Streaming Combined view over *sorted* record iterators.
-
-    Produces exactly the records :func:`materialized_join` would, in the same
-    (fully sorted) order, but holds only one join key's records in memory at
-    a time.  Live references appear with ``to = INFINITY``; pre-joined
-    Combined records pass through and are interleaved in sort order.
-
-    ``inode_filter`` is the cursor API's filter pushdown: join keys whose
-    inode is not in the set are dropped *before* any CP-list joining, clone
-    expansion, masking or grouping happens.  Dropping whole keys here is
-    exact -- clone expansion groups by ``(block, inode, offset)`` and never
-    synthesizes records for a different inode, so a filtered key cannot
-    influence any surviving owner.
-    """
-    for key, from_group, to_group, combined_group in _iter_key_groups(froms, tos, combined):
-        if inode_filter is not None and key[1] not in inode_filter:
-            continue
-        if not to_group:
-            if not from_group:
-                # Pure pass-through key: pre-joined records, already sorted.
-                yield from combined_group
-                continue
-            if not combined_group:
-                # Pure live key (the common case for recent references):
-                # every From is unmatched, and the group is already sorted
-                # by from_cp, so the output needs no list and no sort.
-                k0, k1, k2, k3 = key
-                for record in from_group:
-                    yield CombinedRecord(k0, k1, k2, k3, record[4], INFINITY)
-                continue
-        complete, live = _join_one_key(
-            key, [r.from_cp for r in from_group], [r.to_cp for r in to_group]
-        )
-        output = list(combined_group)
-        output.extend(complete)
-        output.extend(CombinedRecord(*key, from_cp, INFINITY) for from_cp in live)
-        # Records compare natively in sort-key order; keys ascend across
-        # groups, so sorting within the group yields a globally sorted stream.
-        output.sort()
-        yield from output
 
 
 def stream_join_tables(
@@ -256,10 +188,10 @@ def materialized_join(
     tos: Iterable[ToRecord],
     combined: Iterable[CombinedRecord] = (),
 ) -> List[CombinedRecord]:
-    """The pre-streaming query join: dict re-grouping plus a global sort.
+    """The narrow-arm query join: dict re-grouping plus a global sort.
 
-    Accepts records in any order.  Retained as the reference implementation
-    for the differential equivalence tests and the hot-path benchmark.
+    Accepts records in any order and returns the Combined view sorted by
+    record sort key, live references as ``to = INFINITY``.
     """
     results: List[CombinedRecord] = list(combined)
     for key, (from_cps, to_cps) in _group_by_key(froms, tos).items():
@@ -269,43 +201,3 @@ def materialized_join(
             results.append(CombinedRecord(*key, from_cp, INFINITY))
     results.sort(key=CombinedRecord.sort_key)
     return results
-
-
-def combine_for_query(
-    froms: Iterable[FromRecord],
-    tos: Iterable[ToRecord],
-    combined: Iterable[CombinedRecord] = (),
-) -> List[CombinedRecord]:
-    """Produce the Combined view of the given records for query processing.
-
-    Convenience wrapper for callers holding (possibly unsorted) record
-    collections: sorts each input once and runs the streaming merge-join.
-    The query engine itself feeds :func:`merge_join_for_query` directly with
-    the already-sorted run iterators and never pays for these sorts.
-    """
-    return list(merge_join_for_query(sorted(froms), sorted(tos), sorted(combined)))
-
-
-def join_tables(
-    froms: Iterable[FromRecord],
-    tos: Iterable[ToRecord],
-    combined: Iterable[CombinedRecord] = (),
-) -> Tuple[List[CombinedRecord], List[FromRecord]]:
-    """Join whole tables as lists (the materialising compaction path).
-
-    Returns ``(complete_records, incomplete_from_records)``.  Complete records
-    include any pre-existing Combined records passed in (compaction merges old
-    Combined runs with newly joined data); incomplete records are the live
-    references that remain in the on-disk From table after compaction.
-    Both lists are sorted by their table's sort key.
-    """
-    complete: List[CombinedRecord] = list(combined)
-    incomplete: List[FromRecord] = []
-    for key, (from_cps, to_cps) in _group_by_key(froms, tos).items():
-        joined, live = _join_one_key(key, from_cps, to_cps)
-        complete.extend(joined)
-        for from_cp in live:
-            incomplete.append(FromRecord(*key, from_cp))
-    complete.sort(key=CombinedRecord.sort_key)
-    incomplete.sort(key=FromRecord.sort_key)
-    return complete, incomplete

@@ -20,7 +20,7 @@ snapshots at all).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.records import CombinedRecord
 from repro.util.intervals import any_version_in
@@ -30,7 +30,6 @@ __all__ = [
     "AllVersionsAuthority",
     "ExplicitVersionAuthority",
     "SnapshotManagerAuthority",
-    "iter_mask_records",
     "mask_records",
 ]
 
@@ -95,37 +94,29 @@ class SnapshotManagerAuthority(VersionAuthority):
         return self._fs.snapshots.retained_versions(line, current_cp)
 
 
-def iter_mask_records(
+def mask_records(
     records: Iterable[CombinedRecord],
     authority: VersionAuthority,
-) -> Iterator[CombinedRecord]:
-    """Lazily drop records whose entire lifetime refers to deleted versions.
+) -> List[CombinedRecord]:
+    """Drop records whose entire lifetime refers to deleted versions.
 
     Records keep their original ``[from, to)`` boundaries (callers may care
     about the true allocation lifetime); a record survives if at least one
     valid version of its line falls inside the range.
 
     A pure filter: the relative order of surviving records is the input
-    order, so a sorted stream (as the streaming query pipeline produces)
-    stays sorted.  The authority is consulted once per distinct line, not
-    once per record; the generator reads exactly one record ahead of what it
-    has yielded.  The per-record survival test is a direct bisect over the
+    order.  The authority is consulted once per distinct line, not once per
+    record, and the per-record survival test is a direct bisect over the
     line's valid versions (:func:`repro.util.intervals.any_version_in`) --
     no per-record list allocation on the query hot path.
     """
     cache: Dict[int, Optional[Sequence[int]]] = {}
+    kept: List[CombinedRecord] = []
     for record in records:
         line = record[3]
         if line not in cache:
             cache[line] = authority.valid_versions(line)
         valid = cache[line]
         if valid is None or any_version_in(valid, record[4], record[5]):
-            yield record
-
-
-def mask_records(
-    records: Iterable[CombinedRecord],
-    authority: VersionAuthority,
-) -> List[CombinedRecord]:
-    """Materialised form of :func:`iter_mask_records` (same filtering rule)."""
-    return list(iter_mask_records(records, authority))
+            kept.append(record)
+    return kept

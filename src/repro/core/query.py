@@ -17,43 +17,43 @@ Results are returned as :class:`~repro.core.records.BackReference` tuples,
 one per ``(block, inode, offset, line)`` owner, each carrying the merged list
 of version ranges in which the owner references the block.
 
-Two execution strategies answer every query, selected by a size dispatch on
-the candidate run count (``BacklogConfig.narrow_dispatch_max_runs``):
+Every query is dispatched on its size -- the candidate run count
+(``BacklogConfig.narrow_dispatch_max_runs``) and the range width
+(:data:`NARROW_QUERY_MAX_BLOCKS`):
 
-* **Streaming** (wide ranges, many runs): steps 2-6 form one generator
-  chain.  Every source is sorted identically, so the gather step lazily
-  merges per-run page iterators (``heapq.merge``), the join is a sort-merge
-  join (:func:`~repro.core.join.merge_join_for_query`), clone expansion is
-  incremental per reference group (:func:`~repro.core.inheritance.
-  expand_clones`), masking is a pure filter, and -- because records arrive
-  key-adjacent -- the final grouping folds each owner's version ranges in
-  the same single pass (:meth:`QueryEngine._group_sorted`).  No step
-  materialises the intermediate result; transient memory is bounded by one
-  reference group plus one open page per probed run.
+* **Narrow** (at most a couple of candidate runs, at most 1024 blocks): the
+  whole intermediate result is a handful of records, so steps 2-6 run as flat
+  list code over record NamedTuples -- gather each run's slice as a list,
+  :func:`~repro.core.join.materialized_join`,
+  :func:`~repro.core.inheritance.materialized_expand`,
+  :func:`~repro.core.masking.mask_records` and the dict-based
+  :meth:`QueryEngine._group`.
 
-* **Materialised** (narrow ranges, at most a couple of candidate runs): the
-  generator chain's fixed cost is not worth paying for a handful of
-  records, so the engine falls back to the retained pre-streaming pipeline:
-  gather whole run slices as lists, :func:`~repro.core.join.
-  materialized_join`, :func:`~repro.core.inheritance.materialized_expand`,
-  and the dict-based :meth:`QueryEngine._group`.
+* **Wide** (everything else): steps 2-6 run on big-endian byte *rows*
+  (:mod:`repro.core.columnar`), never building a record object.  Every source
+  is sorted identically and rows ``memcmp`` in record order, so the cursor
+  surface merges per-run page iterators lazily (``heapq.merge``), joins them
+  with :func:`~repro.core.columnar.join_rows_for_query` and fuses clone
+  expansion, masking and the owner fold in
+  :func:`~repro.core.columnar.fold_rows_for_query`; transient memory is
+  bounded by one reference group plus one open page per probed run of the
+  active partition.  The list surface (:meth:`QueryEngine.query_range`)
+  drains its result anyway, so it gathers whole row lists and runs the same
+  stages as flat passes (:func:`~repro.core.columnar.scan_rows_bulk`).
 
-Both strategies return identical answers; the differential suite
-(``tests/test_streaming_equivalence.py``) locks them together and
-``benchmarks/bench_hotpath.py`` (``narrow_dispatch`` section) tracks the
-reclaimed constant factor.
+Both arms return identical answers; ``tests/test_streaming_equivalence.py``
+holds the wide arm to the narrow arm's stages on live instances.
 
 On top of both sits the cursor surface (:meth:`QueryEngine.open_cursor`,
 described by :class:`repro.core.cursor.QuerySpec`): a lazy generator of
-:class:`~repro.core.records.BackReference` results with the spec's filters
-pushed into the pipeline stages --
+owners with the spec's filters pushed into the pipeline stages --
 
 * the **inode filter** below the merge-join (whole join keys skipped before
   any joining), the **line filter** into clone expansion (filtered lines
   never reach masking or grouping);
-* the **version window** and **live-only** predicates into the single
-  grouping pass, where an owner's ranges first exist -- owners are decided
-  and dropped one at a time instead of post-filtering a materialised list;
+* the **version window** and **live-only** predicates are decided per owner,
+  as each owner's ranges first exist, instead of post-filtering a
+  materialised list;
 * the **limit** and terminal helpers such as ``.first()`` ride the chain's
   laziness: abandoning the generator stops the gather step mid-run, so an
   early exit reads only the pages behind the results actually emitted;
@@ -62,18 +62,17 @@ pushed into the pipeline stages --
   never re-reading partitions or leaves before it.
 
 The same dispatch applies: a narrow resumed/filtered cursor is answered by
-filtering the materialised fast path's small list, and the differential
-suite holds cursor answers identical to the legacy list surface.
+filtering the narrow arm's small list.
 
-With ``BacklogConfig.query_workers > 1`` the streaming pipeline additionally
-**fans the gather step out**: once the first partition's merged stream is
-exhausted, the gathers of later partitions are drained on
+With ``BacklogConfig.query_workers > 1`` the wide arm additionally **fans the
+gather step out**: once the first partition's merged stream is exhausted, the
+gathers of later partitions are drained on
 :class:`~repro.core.executor.PartitionExecutor` workers (a bounded window of
 in-flight partitions) while the caller consumes earlier ones.  Streams merge
 strictly at the partition boundary in submission order, so emission order,
 resume tokens and answers are byte-identical to serial; each job tallies its
 own page reads thread-locally and the consumer folds them into
-``QueryStats`` when it takes the job's records, so ``reads_per_query`` stays
+``QueryStats`` when it takes the job's rows, so ``reads_per_query`` stays
 exact.  Because nothing is submitted before partition 0 finishes, ``.first()``
 on partition 0 still pays for partition 0 only.
 
@@ -105,10 +104,10 @@ from repro.core.config import BacklogConfig
 from repro.core.cursor import QuerySpec
 from repro.core.deletion_vector import DeletionVector
 from repro.core.executor import PartitionExecutor
-from repro.core.inheritance import CloneGraph, expand_clones, materialized_expand
-from repro.core.join import materialized_join, merge_join_for_query
+from repro.core.inheritance import CloneGraph, materialized_expand
+from repro.core.join import materialized_join
 from repro.core.lsm import RunManager, parse_run_name
-from repro.core.masking import VersionAuthority, iter_mask_records, mask_records
+from repro.core.masking import VersionAuthority, mask_records
 from repro.core.partitioning import Partitioner
 from repro.core.read_store import RECORD_KINDS, CorruptPageError, ReadStoreReader
 from repro.core.records import (
@@ -130,12 +129,12 @@ FROM_KIND = RECORD_KINDS["from"]
 TO_KIND = RECORD_KINDS["to"]
 COMBINED_KIND = RECORD_KINDS["combined"]
 
-#: Widest block range the materialised fast path may serve.  The run-count
-#: dispatch alone would let a *wide* query over a freshly compacted database
-#: (one or two runs holding everything) materialise its entire result,
-#: forfeiting the streaming pipeline's flat-memory guarantee; bounding the
-#: width keeps the fast path to the narrow queries it exists for while
-#: capping its transient memory at a few leaf pages per run.
+#: Widest block range the narrow arm may serve.  The run-count dispatch alone
+#: would let a *wide* query over a freshly compacted database (one or two
+#: runs holding everything) materialise its entire result as records,
+#: forfeiting the row pipeline's flat-memory guarantee; bounding the width
+#: keeps the narrow arm to the queries it exists for while capping its
+#: transient memory at a few leaf pages per run.
 NARROW_QUERY_MAX_BLOCKS = 1024
 
 
@@ -201,18 +200,13 @@ class QueryEngine:
 
     # ------------------------------------------------------------------ API
 
-    def query_block(self, block: int) -> List[BackReference]:
-        """All owners of a single physical block."""
-        return self.query_range(block, 1)
-
     def query_range(self, first_block: int, num_blocks: int) -> List[BackReference]:
         """All owners of blocks in ``[first_block, first_block + num_blocks)``.
 
         Returns one :class:`~repro.core.records.BackReference` per owner,
         sorted by ``(block, inode, offset, line)``, with each owner's version
-        ranges merged and sorted.  Dispatches on the candidate run count (see
-        the module docstring); both execution strategies return identical
-        results.
+        ranges merged and sorted.  Dispatches on the query's size (see the
+        module docstring); both arms return identical results.
         """
         if num_blocks <= 0:
             raise ValueError("num_blocks must be positive")
@@ -235,8 +229,8 @@ class QueryEngine:
                 # Pin a snapshot for the attempt: the runs it references cannot
                 # be deleted (only deferred) while it is held, so a concurrent
                 # checkpoint/compaction cannot pull pages out from under the
-                # scan.  Both strategies materialise their result list before
-                # the release below.
+                # scan.  Both arms materialise their result list before the
+                # release below.
                 with self.catalogue.select() as snapshot:
                     candidate_runs = self._candidate_runs(snapshot, first_block,
                                                           num_blocks)
@@ -246,7 +240,7 @@ class QueryEngine:
                             results = self._query_materialized(
                                 snapshot, candidate_runs, first_block, num_blocks)
                         else:
-                            results = self._query_streaming(
+                            results = self._query_wide(
                                 snapshot, candidate_runs, first_block, num_blocks)
                         break
                     except CorruptPageError as error:
@@ -263,14 +257,6 @@ class QueryEngine:
         self.stats.seconds += time.perf_counter() - start_time
         return results
 
-    def owners_at_version(self, block: int, version: int) -> List[BackReference]:
-        """Owners of ``block`` whose reference existed at CP ``version``."""
-        return [ref for ref in self.query_block(block) if ref.covers_version(version)]
-
-    def live_owners(self, block: int) -> List[BackReference]:
-        """Owners of ``block`` in the live file system (any line)."""
-        return [ref for ref in self.query_block(block) if ref.is_live]
-
     # -------------------------------------------------------------- cursors
 
     def open_cursor(self, spec: QuerySpec, *,
@@ -280,9 +266,9 @@ class QueryEngine:
         The entry point behind :meth:`repro.core.backlog.Backlog.select`:
         results stream out in ``(block, inode, offset, line)`` order with the
         spec's filters pushed into the pipeline (see the module docstring).
-        Owners are emitted *raw* -- :class:`BackReference` from the
-        materialised fast path and the tuple pipeline, shape-identical plain
-        tuples from the columnar pipeline; the cursor surface
+        Owners are emitted *raw* -- :class:`BackReference` from the narrow
+        arm, shape-identical plain tuples from the row pipeline; the cursor
+        surface
         (:class:`~repro.core.cursor.QueryResult`) materialises at its
         public boundary, so wire paths can ship rows without ever building
         the NamedTuples.
@@ -379,8 +365,8 @@ class QueryEngine:
                             snapshot, first_block, num_blocks)
                         if self._dispatch_narrow(candidate_runs, num_blocks,
                                                  count=count_dispatch):
-                            # The materialised fast path already returns a
-                            # small, fully grouped list; the record-level
+                            # The narrow arm already returns a small, fully
+                            # grouped list; the record-level
                             # pushdowns would not pay for themselves, so the
                             # spec's filters apply per owner below.  ``iter``
                             # keeps the loop's position in ``refs`` itself so
@@ -388,21 +374,16 @@ class QueryEngine:
                             refs = iter(self._query_materialized(
                                 snapshot, candidate_runs, first_block, num_blocks
                             ))
-                        elif self.config.columnar_pipeline:
-                            refs = self._cursor_owners_columnar(
+                        else:
+                            refs = self._cursor_owners(
                                 snapshot, candidate_runs, first_block, num_blocks,
                                 start_key, spec
                             )
-                        else:
-                            refs = self._iter_group_sorted(self._cursor_records(
-                                snapshot, candidate_runs, first_block, num_blocks,
-                                start_key, spec
-                            ))
                     # Owner filters are index-based because ``refs`` yields
-                    # either BackReferences (materialised fast path, tuple
-                    # pipeline) or the columnar pipeline's shape-identical
-                    # plain tuples; materialisation is the cursor surface's
-                    # job, not this generator's.
+                    # either BackReferences (narrow arm) or the row
+                    # pipeline's shape-identical plain tuples;
+                    # materialisation is the cursor surface's job, not this
+                    # generator's.
                     for ref in refs:
                         if last_identity is not None and ref[:4] <= last_identity:
                             continue
@@ -482,26 +463,7 @@ class QueryEngine:
             stats.pages_read += pages_read
             stats.seconds += elapsed
 
-    def _cursor_records(
-        self,
-        snapshot: CatalogueSnapshot,
-        candidate_runs: List[ReadStoreReader],
-        first_block: int,
-        num_blocks: int,
-        start_key: Optional[Tuple[int, ...]],
-        spec: QuerySpec,
-    ) -> Iterator[CombinedRecord]:
-        """The streaming record pipeline with the spec's pushdowns applied."""
-        froms, tos, combined = self._gather(
-            snapshot, candidate_runs, first_block, num_blocks, start_key
-        )
-        combined_view = merge_join_for_query(
-            froms, tos, combined, inode_filter=spec.inodes
-        )
-        expanded = expand_clones(combined_view, self.clone_graph, line_filter=spec.lines)
-        return iter_mask_records(expanded, self.authority)
-
-    def _cursor_owners_columnar(
+    def _cursor_owners(
         self,
         snapshot: CatalogueSnapshot,
         candidate_runs: List[ReadStoreReader],
@@ -510,21 +472,17 @@ class QueryEngine:
         start_key: Optional[Tuple[int, ...]],
         spec: QuerySpec,
     ) -> Iterator[Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]]:
-        """The columnar owner pipeline with the spec's pushdowns applied.
+        """The wide arm's lazy owner pipeline with the spec's pushdowns applied.
 
-        Row-slab counterpart of ``_iter_group_sorted(_cursor_records(...))``:
-        gathers big-endian rows, joins them with
+        Gathers big-endian rows, joins them with
         :func:`~repro.core.columnar.join_rows_for_query` and fuses clone
         expansion, masking and the owner fold in
         :func:`~repro.core.columnar.fold_rows_for_query`.  Yields plain owner
         tuples, shape-identical to :class:`BackReference`; the cursor surface
-        materialises at emission.  Same owners, same order, same pages read
-        at the same pull points as the tuple chain.
+        materialises at emission.
         """
         frows, trows, crows = self._gather(
-            snapshot, candidate_runs, first_block, num_blocks, start_key,
-            rows=True,
-        )
+            snapshot, candidate_runs, first_block, num_blocks, start_key)
         joined = join_rows_for_query(frows, trows, crows, inode_filter=spec.inodes)
         return fold_rows_for_query(joined, self.clone_graph, self.authority,
                                    line_filter=spec.lines)
@@ -647,8 +605,8 @@ class QueryEngine:
                          num_blocks: int, count: bool = True) -> bool:
         """The size dispatch, shared by the list and cursor surfaces.
 
-        True sends the query to the materialised fast path; False keeps it
-        on the streaming chain.  One definition on purpose: the two surfaces
+        True sends the query to the narrow arm; False keeps it on the row
+        pipeline.  One definition on purpose: the two surfaces
         must never dispatch the same range differently.  ``count=False``
         suppresses the fast-path counter for pipeline re-entries that were
         already counted (a reopened cursor), mirroring the query counter.
@@ -676,41 +634,61 @@ class QueryEngine:
         self.stats.runs_probed += len(candidate_runs)
         return candidate_runs
 
-    # ------------------------------------------------------ streaming path
+    # ------------------------------------------------------------ wide arm
 
-    def _query_streaming(
+    def _query_wide(
         self, snapshot: CatalogueSnapshot, candidate_runs: List[ReadStoreReader],
         first_block: int, num_blocks: int
     ) -> List[BackReference]:
-        """Steps 2-6 as one generator chain (see the module docstring)."""
-        if self.config.columnar_pipeline:
-            frows, trows, crows = self._gather_row_lists(
-                snapshot, candidate_runs, first_block, num_blocks)
-            owners = scan_rows_bulk(frows, trows, crows,
-                                    self.clone_graph, self.authority)
-            # The one materialisation point of the wide list surface: a bulk
-            # C-level _make over the owner tuples, not one ctor per stage.
-            return list(map(BackReference._make, owners))
-        froms, tos, combined = self._gather(snapshot, candidate_runs,
-                                            first_block, num_blocks)
-        combined_view = merge_join_for_query(froms, tos, combined)
-        expanded = expand_clones(combined_view, self.clone_graph)
-        masked = iter_mask_records(expanded, self.authority)
-        return self._group_sorted(masked)
+        """Steps 2-6 as flat passes over drained row lists."""
+        frows, trows, crows = self._gather_row_lists(
+            snapshot, candidate_runs, first_block, num_blocks)
+        owners = scan_rows_bulk(frows, trows, crows,
+                                self.clone_graph, self.authority)
+        # The one materialisation point of the wide list surface: a bulk
+        # C-level _make over the owner tuples, not one ctor per stage.
+        return list(map(BackReference._make, owners))
+
+    @staticmethod
+    def _partition_buckets(
+        candidate_runs: List[ReadStoreReader],
+    ) -> Dict[int, List[List[ReadStoreReader]]]:
+        """Candidate runs as per-partition buckets, keyed by record kind.
+
+        Every kind's bucket list has one (possibly empty) bucket per
+        partition, in ascending partition order.
+        """
+        # Dispatch on the numeric record kind: the ``table`` property does a
+        # name lookup per call, which adds up over many candidate runs.
+        # Candidate runs arrive partition-ordered (the run manager walks the
+        # ascending partition list), so grouping is a linear scan.
+        sources: Dict[int, List[List[ReadStoreReader]]] = \
+            {FROM_KIND: [], TO_KIND: [], COMBINED_KIND: []}
+        last_partition: Optional[int] = None
+        for run in candidate_runs:
+            parsed = parse_run_name(run.name)
+            partition = parsed[0] if parsed is not None else None
+            if partition != last_partition or not sources[run.record_kind]:
+                for buckets in sources.values():
+                    buckets.append([])
+                last_partition = partition
+            sources[run.record_kind][-1].append(run)
+        return sources
 
     def _gather(
         self, snapshot: CatalogueSnapshot, candidate_runs: List[ReadStoreReader],
         first_block: int, num_blocks: int,
         start_key: Optional[Tuple[int, ...]] = None,
-        rows: bool = False,
-    ) -> Tuple[Iterator, Iterator, Iterator]:
-        """Sorted, lazily merged record streams for the block range.
+    ) -> Tuple[Iterator[bytes], Iterator[bytes], Iterator[bytes]]:
+        """Sorted, lazily merged row streams for the block range.
 
-        Each run contributes a lazy per-page iterator and each write store its
-        sorted snapshot slice; per table the sources are merged with
-        ``heapq.merge`` (every source is sorted identically), so the join can
-        consume one sorted stream per table without the old per-query
-        re-grouping or any whole-range record lists.
+        Each run contributes a lazy per-page iterator of big-endian row bytes
+        (:meth:`~repro.core.read_store.ReadStoreReader.iter_rows_block_range`)
+        and each write store its sorted snapshot slice
+        (:func:`~repro.core.records.records_to_rows`); per table the sources
+        are merged with ``heapq.merge`` (rows compare in record order and
+        every source is sorted identically), so the join consumes one sorted
+        stream per table without any whole-range lists.
 
         ``start_key`` (cursor resume pushdown) begins every source at the
         first record at or past the key instead of the start of the range.
@@ -721,60 +699,36 @@ class QueryEngine:
         opened until the scan reaches them.  That is what keeps an early exit
         (``.first()``, a page-limited cursor) from decoding one leaf of every
         run on the device just to prime a single whole-range heap, and what
-        bounds the streaming pipeline's transient memory by one open page per
+        bounds the cursor chain's transient memory by one open page per
         probed run *of the active partition*.
-
-        With ``rows=True`` every source produces big-endian row bytes
-        (:meth:`~repro.core.read_store.ReadStoreReader.iter_rows_block_range`
-        per run, :func:`~repro.core.records.records_to_rows` over the write
-        stores' snapshot slices) instead of NamedTuples.  Rows compare in
-        record order, so the identical merge/filter machinery runs on both
-        representations, pulling pages at identical points.
         """
-        # Dispatch on the numeric record kind: the ``table`` property does a
-        # name lookup per call, which adds up over many candidate runs.
-        # Candidate runs arrive partition-ordered (the run manager walks the
-        # ascending partition list), so grouping is a linear scan.
-        sources: Dict[int, List[List[Iterator]]] = \
-            {FROM_KIND: [], TO_KIND: [], COMBINED_KIND: []}
-        last_partition: Optional[int] = None
-        for run in candidate_runs:
-            parsed = parse_run_name(run.name)
-            partition = parsed[0] if parsed is not None else None
-            if partition != last_partition or not sources[run.record_kind]:
-                for buckets in sources.values():
-                    buckets.append([])
-                last_partition = partition
-            sources[run.record_kind][-1].append(
-                run.iter_rows_block_range(first_block, num_blocks, start_key)
-                if rows else
-                run.iter_block_range(first_block, num_blocks, start_key)
-            )
+        sources = {
+            kind: [[run.iter_rows_block_range(first_block, num_blocks, start_key)
+                    for run in bucket] for bucket in buckets]
+            for kind, buckets in self._partition_buckets(candidate_runs).items()
+        }
         ws_from_records = snapshot.ws_from.records_for_block_range(first_block, num_blocks)
         if start_key is not None and ws_from_records:
             ws_from_records = ws_from_records[bisect_left(ws_from_records, start_key):]
         ws_to_records = snapshot.ws_to.records_for_block_range(first_block, num_blocks)
         if start_key is not None and ws_to_records:
             ws_to_records = ws_to_records[bisect_left(ws_to_records, start_key):]
-        if rows:
-            ws_from_records = records_to_rows(ws_from_records, 5)
-            ws_to_records = records_to_rows(ws_to_records, 5)
 
         deletion_vector = snapshot.deletion_vector
         return (
-            self._merge_sources(sources[FROM_KIND], ws_from_records,
-                                deletion_vector, snapshot, rows=rows),
-            self._merge_sources(sources[TO_KIND], ws_to_records,
-                                deletion_vector, snapshot, rows=rows),
+            self._merge_sources(sources[FROM_KIND], records_to_rows(ws_from_records, 5),
+                                deletion_vector, snapshot),
+            self._merge_sources(sources[TO_KIND], records_to_rows(ws_to_records, 5),
+                                deletion_vector, snapshot),
             self._merge_sources(sources[COMBINED_KIND], None,
-                                deletion_vector, snapshot, rows=rows),
+                                deletion_vector, snapshot),
         )
 
     def _gather_row_lists(
         self, snapshot: CatalogueSnapshot, candidate_runs: List[ReadStoreReader],
         first_block: int, num_blocks: int,
     ) -> Tuple[List[bytes], List[bytes], List[bytes]]:
-        """:meth:`_gather` with ``rows=True``, drained to three sorted lists.
+        """:meth:`_gather`, drained to three sorted row lists.
 
         The list surface's gather: a whole-range ``query_range`` consumes
         every gathered record anyway, so the lazy per-row heap merge only
@@ -795,17 +749,7 @@ class QueryEngine:
         each job's page count into the caller's open tally keeps
         ``pages_read`` exactly equal to serial.
         """
-        sources: Dict[int, List[List[ReadStoreReader]]] = \
-            {FROM_KIND: [], TO_KIND: [], COMBINED_KIND: []}
-        last_partition: Optional[int] = None
-        for run in candidate_runs:
-            parsed = parse_run_name(run.name)
-            partition = parsed[0] if parsed is not None else None
-            if partition != last_partition or not sources[run.record_kind]:
-                for kind_buckets in sources.values():
-                    kind_buckets.append([])
-                last_partition = partition
-            sources[run.record_kind][-1].append(run)
+        sources = self._partition_buckets(candidate_runs)
         ws_rows = {
             FROM_KIND: records_to_rows(
                 snapshot.ws_from.records_for_block_range(first_block, num_blocks), 5),
@@ -874,11 +818,10 @@ class QueryEngine:
             gathered[kind] = rows
         return gathered[FROM_KIND], gathered[TO_KIND], gathered[COMBINED_KIND]
 
-    def _merge_sources(self, partition_buckets: List[List[Iterator]],
-                       write_store_records: Optional[List],
+    def _merge_sources(self, partition_buckets: List[List[Iterator[bytes]]],
+                       write_store_rows: Optional[List[bytes]],
                        deletion_vector: DeletionVector,
-                       snapshot: CatalogueSnapshot,
-                       rows: bool = False) -> Iterator:
+                       snapshot: CatalogueSnapshot) -> Iterator[bytes]:
         """One sorted stream per table: lazily chained per-partition merges.
 
         Each partition's run iterators merge through ``heapq.merge``; the
@@ -910,11 +853,10 @@ class QueryEngine:
                 merged = merged_partitions[0]
             else:
                 merged = chain.from_iterable(merged_partitions)
-        if write_store_records:
-            merged = heapq.merge(merged, iter(write_store_records))
+        if write_store_rows:
+            merged = heapq.merge(merged, iter(write_store_rows))
         if deletion_vector:
-            return (deletion_vector.filter_rows(merged) if rows
-                    else deletion_vector.filter(merged))
+            return deletion_vector.filter_rows(merged)
         return merged
 
     def _prefetched_streams(self, buckets: List[List[Iterator]],
@@ -979,64 +921,13 @@ class QueryEngine:
 
         return self._executor.submit(job, executor_stats)
 
-    def _group_sorted(self, records: Iterable[CombinedRecord]) -> List[BackReference]:
-        """Fold a *sorted* Combined stream into BackReferences in one pass.
-
-        The streaming pipeline keeps records sorted end to end, so all
-        records of one ``(block, inode, offset, line)`` owner are adjacent
-        and their ``(from, to)`` ranges arrive pre-sorted: each owner is
-        emitted the moment the identity changes, without the legacy
-        :meth:`_group` dict or its final sort.
-        """
-        results: List[BackReference] = []
-        append = results.append
-        identity = None
-        ranges: List[Tuple[int, int]] = []
-        for record in records:
-            record_identity = record[:4]
-            if record_identity != identity:
-                if identity is not None:
-                    append(BackReference(*identity, tuple(merge_adjacent_ranges(ranges))))
-                identity = record_identity
-                ranges = []
-            ranges.append((record[4], record[5]))
-        if identity is not None:
-            append(BackReference(*identity, tuple(merge_adjacent_ranges(ranges))))
-        return results
-
-    def _iter_group_sorted(
-        self, records: Iterable[CombinedRecord]
-    ) -> Iterator[BackReference]:
-        """Generator form of :meth:`_group_sorted` for the cursor pipeline.
-
-        Same single-pass fold over a sorted Combined stream, but each
-        BackReference is *yielded* the moment its owner's records end instead
-        of being appended to a result list -- which is what lets a cursor's
-        limit or an abandoned ``.first()`` stop the whole generator chain
-        after one reference group.  (:meth:`_group_sorted` stays a plain loop
-        because the wide-query list path is benchmarked without the per-owner
-        generator overhead; the differential suite locks the two together.)
-        """
-        identity = None
-        ranges: List[Tuple[int, int]] = []
-        for record in records:
-            record_identity = record[:4]
-            if record_identity != identity:
-                if identity is not None:
-                    yield BackReference(*identity, tuple(merge_adjacent_ranges(ranges)))
-                identity = record_identity
-                ranges = []
-            ranges.append((record[4], record[5]))
-        if identity is not None:
-            yield BackReference(*identity, tuple(merge_adjacent_ranges(ranges)))
-
-    # --------------------------------------------------- materialised path
+    # ---------------------------------------------------------- narrow arm
 
     def _query_materialized(
         self, snapshot: CatalogueSnapshot, candidate_runs: List[ReadStoreReader],
         first_block: int, num_blocks: int
     ) -> List[BackReference]:
-        """The retained pre-streaming pipeline, used below the dispatch bound.
+        """The record-list pipeline, used below the dispatch bound.
 
         Gathers each source's range slice as a list and runs the
         materialising join / expansion / grouping.  With one or two candidate
@@ -1062,13 +953,12 @@ class QueryEngine:
         masked = mask_records(expanded, self.authority)
         return self._group(masked)
 
-    def _group(self, records: Sequence[CombinedRecord]) -> List[BackReference]:
+    @staticmethod
+    def _group(records: Sequence[CombinedRecord]) -> List[BackReference]:
         """Fold Combined records into one BackReference per owner.
 
-        The legacy grouping: a dict pass keyed by owner identity plus a final
-        sort, accepting records in any order.  The materialised fast path
-        uses it (its inputs are tiny); the streaming pipeline replaces it
-        with the single-pass :meth:`_group_sorted`.
+        A dict pass keyed by owner identity plus a final sort, accepting
+        records in any order; the narrow arm's inputs are tiny.
         """
         grouped: Dict[Tuple[int, int, int, int], List[Tuple[int, int]]] = defaultdict(list)
         for record in records:

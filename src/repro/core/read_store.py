@@ -510,8 +510,7 @@ class ReadStoreReader:
     def records_for_block_range(self, first_block: int, num_blocks: int) -> List[AnyRecord]:
         """All records whose block falls in ``[first_block, first_block + num_blocks)``.
 
-        Materialised counterpart of :meth:`iter_block_range`, and the entry
-        point the query engine's narrow-query fast path uses: a narrow range
+        The entry point the query engine's narrow arm uses: a narrow range
         almost always lands inside a single leaf page, which this returns as
         one list slice with no generator frames at all.
         """
@@ -534,50 +533,22 @@ class ReadStoreReader:
                 break
         return result
 
-    def iter_block_range(self, first_block: int, num_blocks: int,
-                         start_key: Optional[Tuple[int, ...]] = None) -> Iterator[AnyRecord]:
-        """Lazily yield the records of ``records_for_block_range``.
+    def iter_rows_block_range(self, first_block: int, num_blocks: int,
+                              start_key: Optional[Tuple[int, ...]] = None) -> Iterator[bytes]:
+        """Lazily yield the range's records as big-endian row bytes.
 
         Decodes one leaf page at a time, so a wide range query merging many
-        runs holds O(pages currently open) records instead of every run's
-        full result list.
+        runs holds O(pages currently open) rows instead of every run's full
+        result list.  Each leaf decodes into 40/48-byte big-endian row
+        strings (one C byteswap pass per page), and the bisects compare
+        packed key prefixes with ``memcmp``; rows compare in the same order
+        as the records they encode.
 
         ``start_key`` (a record sort-key prefix ``>= (first_block,)``) begins
         the scan at the first record at or past that key instead of the start
         of the block range; the cursor API's resume pushdown uses it to
         re-enter a paginated scan at the interrupted reference group without
         re-reading the leaves before it.
-        """
-        if num_blocks <= 0 or self.num_leaf_pages == 0:
-            return
-        if start_key is None:
-            seek = (first_block, 0, 0, 0, 0)
-            lo_key: Tuple[int, ...] = (first_block,)
-        else:
-            seek = tuple(start_key) + (0,) * (5 - len(start_key))
-            lo_key = start_key
-        stop_key = (first_block + num_blocks,)
-        leaf_index = self._find_leaf(seek)
-        for page_index in range(leaf_index, self.num_leaf_pages):
-            records = self._leaf_records(page_index)
-            lo = bisect_left(records, lo_key) if page_index == leaf_index else 0
-            hi = bisect_left(records, stop_key)
-            yield from records[lo:hi]
-            if hi < len(records):
-                return
-
-    def iter_rows_block_range(self, first_block: int, num_blocks: int,
-                              start_key: Optional[Tuple[int, ...]] = None) -> Iterator[bytes]:
-        """Row counterpart of :meth:`iter_block_range`: big-endian row bytes.
-
-        Identical traversal -- same index descent, same one-leaf-at-a-time
-        decode, same bisect bounds, same early return -- but each leaf
-        decodes into 40/48-byte big-endian row strings (one C byteswap pass
-        per page) instead of NamedTuples, and the bisects compare packed key
-        prefixes with ``memcmp``.  Rows for the same records compare in the
-        same order as the records, so for any ``(first_block, num_blocks,
-        start_key)`` this yields exactly the rows of the records
-        :meth:`iter_block_range` yields, pulling pages at identical points.
         """
         if num_blocks <= 0 or self.num_leaf_pages == 0:
             return
@@ -628,7 +599,7 @@ class ReadStoreReader:
                            num_blocks: int) -> Iterator[RecordBlock]:
         """Yield one trimmed zero-copy :class:`RecordBlock` per leaf page.
 
-        The slab-granular view of :meth:`iter_block_range`: each leaf's
+        The slab-granular view of :meth:`iter_rows_block_range`: each leaf's
         payload becomes a single :class:`~repro.core.records.RecordBlock`
         (one slab allocation per page), sliced -- without copying -- to the
         requested block range.  Callers that only need bulk row access

@@ -195,7 +195,7 @@ class BackReference(NamedTuple):
 # ``memcmp`` in exactly the numeric order the NamedTuples compare in -- so
 # heap merges, sort-merge joins, bisects and group folds all run on plain
 # byte strings, and a record only becomes a Python object at the public API
-# boundary (``BackReference`` emission, the legacy differential paths).
+# boundary (``BackReference`` emission) or in the narrow arm's record lists.
 #
 # A key *prefix* packed with :func:`pack_key_prefix` sorts strictly before
 # every row that extends it, mirroring how a short tuple like
@@ -293,8 +293,8 @@ class RecordBlock:
 
     Wraps the big-endian slab of a whole page; :meth:`slice` narrows the
     view without copying (memoryview slicing), :meth:`rows` splits it into
-    per-record byte rows for the streaming pipeline, and :meth:`records`
-    materialises NamedTuples for the legacy boundary.  Batch ``sort_key``
+    per-record byte rows for the row pipeline, and :meth:`records`
+    materialises NamedTuples.  Batch ``sort_key``
     extraction is :meth:`key_prefixes`; :meth:`bisect_left` seeks a packed
     key prefix (:func:`pack_key_prefix`) with 5-u64-wide ``memcmp``
     comparisons instead of per-record tuple construction.
@@ -335,7 +335,7 @@ class RecordBlock:
         return [bytes(data[start:start + 32]) for start in range(0, len(data), width)]
 
     def records(self, record_class) -> List:
-        """Materialise the block as NamedTuples (legacy boundary only)."""
+        """Materialise the block as NamedTuples."""
         return list(map(record_class._make,
                         ROW_STRUCTS[self.fields].iter_unpack(self.data)))
 

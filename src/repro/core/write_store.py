@@ -24,11 +24,6 @@ far cheaper than per-operation tree rebalancing, and record tuples compare in
 exactly the sort-key order (their fields *are* the sort key), so no key
 function is needed.
 
-The previous red-black-tree implementation is retained as
-:class:`RBTreeWriteStore` so that equivalence tests and the hot-path
-microbenchmark (``benchmarks/bench_hotpath.py``) can drive both back ends
-through identical operation sequences.
-
 There is one write store per table (From and To).  The store also remembers
 the set of distinct physical blocks it contains so that queries can consult
 it cheaply and the flush can size its Bloom filter.
@@ -38,12 +33,11 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.core.records import FromRecord, ToRecord
-from repro.util.rbtree import RedBlackTree
 
-__all__ = ["WriteStore", "FrozenWriteStore", "RBTreeWriteStore"]
+__all__ = ["WriteStore", "FrozenWriteStore"]
 
 _Record = Union[FromRecord, ToRecord]
 
@@ -270,8 +264,7 @@ class WriteStore:
         """Rough memory footprint, for the space-overhead accounting."""
         # Each entry holds a record NamedTuple plus dict slots and its share
         # of the sorted snapshot; ~200 bytes is a conservative per-entry
-        # figure for CPython (kept identical to the tree-based estimate so
-        # the space reports stay comparable across versions).
+        # figure for CPython.
         return len(self._records) * 200
 
     # ------------------------------------------------------------ internals
@@ -282,116 +275,3 @@ class WriteStore:
                 raise TypeError(f"From write store cannot hold {type(record).__name__}")
             if self.table == "to" and not isinstance(record, ToRecord):
                 raise TypeError(f"To write store cannot hold {type(record).__name__}")
-
-
-class RBTreeWriteStore:
-    """The original red-black-tree write store, kept as a reference back end.
-
-    Semantically identical to :class:`WriteStore` (the equivalence test
-    drives both through the same operation sequences); an order of magnitude
-    slower on the update path because every insert/remove rebalances the
-    tree.  Used by ``benchmarks/bench_hotpath.py`` to measure the speedup.
-    """
-
-    def __init__(self, table: str) -> None:
-        if table not in ("from", "to"):
-            raise ValueError(f"unknown table {table!r}")
-        self.table = table
-        self._tree = RedBlackTree()
-        self._block_counts: Dict[int, int] = {}
-        self.inserts = 0
-        self.removals = 0
-
-    # ------------------------------------------------------------ mutation
-
-    def insert(self, record: _Record) -> None:
-        self._check_type(record)
-        key = record.sort_key()
-        if key not in self._tree:
-            self._tree.insert(key, record)
-            self._block_counts[record.block] = self._block_counts.get(record.block, 0) + 1
-        self.inserts += 1
-
-    def remove(self, record: _Record) -> bool:
-        self._check_type(record)
-        key = record.sort_key()
-        if key not in self._tree:
-            return False
-        self._tree.delete(key)
-        self.removals += 1
-        count = self._block_counts.get(record.block, 0) - 1
-        if count <= 0:
-            self._block_counts.pop(record.block, None)
-        else:
-            self._block_counts[record.block] = count
-        return True
-
-    def remove_key(self, block: int, inode: int, offset: int, line: int, cp: int) -> bool:
-        key = (block, inode, offset, line, cp)
-        if key not in self._tree:
-            return False
-        self._tree.delete(key)
-        self.removals += 1
-        count = self._block_counts.get(block, 0) - 1
-        if count <= 0:
-            self._block_counts.pop(block, None)
-        else:
-            self._block_counts[block] = count
-        return True
-
-    def clear(self) -> None:
-        self._tree.clear()
-        self._block_counts.clear()
-
-    # ------------------------------------------------------------- queries
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-    def __bool__(self) -> bool:
-        return bool(self._tree)
-
-    def contains(self, block: int, inode: int, offset: int, line: int, cp: int) -> bool:
-        return (block, inode, offset, line, cp) in self._tree
-
-    def find(self, block: int, inode: int, offset: int, line: int, cp: int) -> Optional[_Record]:
-        return self._tree.get((block, inode, offset, line, cp))
-
-    def sorted_records(self) -> List[_Record]:
-        return [record for _, record in self._tree.items()]
-
-    def records_for_key(self, block: int, inode: int, offset: int, line: int) -> List[_Record]:
-        start = (block, inode, offset, line, 0)
-        stop = (block, inode, offset, line + 1, 0)
-        return [record for _, record in self._tree.items_range(start, stop)]
-
-    def records_for_block(self, block: int) -> List[_Record]:
-        start = (block, 0, 0, 0, 0)
-        stop = (block + 1, 0, 0, 0, 0)
-        return [record for _, record in self._tree.items_range(start, stop)]
-
-    def records_for_block_range(self, first_block: int, num_blocks: int) -> List[_Record]:
-        start = (first_block, 0, 0, 0, 0)
-        stop = (first_block + num_blocks, 0, 0, 0, 0)
-        return [record for _, record in self._tree.items_range(start, stop)]
-
-    def may_contain_block(self, block: int) -> bool:
-        return block in self._block_counts
-
-    def distinct_blocks(self) -> List[int]:
-        return sorted(self._block_counts)
-
-    def __iter__(self) -> Iterator[_Record]:
-        for _, record in self._tree.items():
-            yield record
-
-    def memory_estimate_bytes(self) -> int:
-        return len(self._tree) * 200
-
-    # ------------------------------------------------------------ internals
-
-    def _check_type(self, record: _Record) -> None:
-        if self.table == "from" and not isinstance(record, FromRecord):
-            raise TypeError(f"From write store cannot hold {type(record).__name__}")
-        if self.table == "to" and not isinstance(record, ToRecord):
-            raise TypeError(f"To write store cannot hold {type(record).__name__}")

@@ -111,10 +111,10 @@ def intersect_ranges(
 def any_version_in(versions: Sequence[int], start: int, stop: int) -> bool:
     """Binary search: is there a retained version v with start <= v < stop?
 
-    The single-range masking primitive: the streaming query pipeline calls
-    this once per record (via :func:`repro.core.masking.iter_mask_records`)
-    instead of wrapping each record's range in a one-element list for
-    :func:`intersect_ranges`.
+    The single-range masking primitive: the query pipeline calls this once
+    per record (:func:`repro.core.masking.mask_records`, the row folds of
+    :mod:`repro.core.columnar`) instead of wrapping each record's range in a
+    one-element list for :func:`intersect_ranges`.
     """
     lo, hi = 0, len(versions)
     while lo < hi:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backlog import Backlog
+from repro.core.compaction import Compactor
 from repro.core.config import BacklogConfig
 from repro.core.records import FromRecord, INFINITY, ToRecord
 from repro.fsim.blockdev import MemoryBackend
@@ -20,6 +21,18 @@ class TestConfigValidation:
             BacklogConfig(cache_bytes=-1)
         with pytest.raises(ValueError):
             BacklogConfig(maintenance_interval_cps=0)
+
+    def test_removed_implementation_flags_fail_closed(self):
+        """A stale caller cannot believe it selected a path that is gone."""
+        with pytest.raises(TypeError):
+            BacklogConfig(columnar_pipeline=False)
+        with pytest.raises(TypeError):
+            BacklogConfig(streaming_compaction=False)
+        backlog = Backlog()
+        with pytest.raises(TypeError):
+            Compactor(backlog.run_manager, backlog.config,
+                      backlog.version_authority, backlog.clone_graph,
+                      backlog.deletion_vector, streaming=False)
 
 
 class TestStandaloneUpdates:

@@ -1,12 +1,14 @@
 """Deep clone-chain coverage: equivalence and memory behaviour.
 
-The incremental :func:`~repro.core.inheritance.expand_clones` generator is
-locked to the retained :func:`~repro.core.inheritance.materialized_expand`
-over randomly generated clone DAGs (hypothesis), over deep linear chains and
-branching trees, and through the full Backlog query path.  The tracemalloc
-tests assert the property the streaming rework exists for: the generator's
-transient working set stays flat as the query result grows, while the
-materialised expansion's grows linearly with it.
+The wide arm's row expansion (:func:`~repro.core.inheritance.expand_row_group`
+driven group by group, and the fused
+:func:`~repro.core.columnar.fold_rows_for_query`) is locked to
+:func:`~repro.core.inheritance.materialized_expand` over randomly generated
+clone DAGs (hypothesis), over deep linear chains and branching trees, and
+through the full Backlog query path.  The tracemalloc tests assert the
+property the streaming pipeline exists for: its transient working set stays
+flat as the query result grows, while the materialised expansion's grows
+linearly with it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,14 @@ from hypothesis import strategies as st
 
 from repro.core.backlog import Backlog
 from repro.core.config import BacklogConfig
-from repro.core.inheritance import CloneGraph, expand_clones, materialized_expand
-from repro.core.records import CombinedRecord, INFINITY
+from repro.core.columnar import fold_rows_for_query
+from repro.core.inheritance import CloneGraph, materialized_expand
+from repro.core.masking import AllVersionsAuthority, ExplicitVersionAuthority, mask_records
+from repro.core.query import QueryEngine
+from repro.core.records import CombinedRecord, INFINITY, records_to_rows
 from repro.fsim.blockdev import MemoryBackend
+
+from test_inheritance import fold_owners, row_expand
 
 
 # --------------------------------------------------- hypothesis equivalence
@@ -53,13 +60,30 @@ _records = st.lists(
 )
 
 
+def _masking_authority() -> ExplicitVersionAuthority:
+    """Lines 0-3 live at CP 12, every line snapshotted at CP 6 only."""
+    authority = ExplicitVersionAuthority()
+    authority.set_current_cp(12)
+    for line in range(7):
+        authority.add_snapshot(line, 6)
+        if 0 < line <= 3:
+            authority.add_line(line)
+    return authority
+
+
 @settings(max_examples=200, deadline=None)
 @given(clone_graphs(), _records)
 def test_streaming_expansion_matches_materialized(graph, records):
-    """Property: identical output over random clone DAGs and record sets."""
+    """Property: identical output over random clone DAGs and record sets.
+
+    Record for record through the grouped row expansion, and owner for owner
+    through the fused expansion + masking + fold.
+    """
     expected = materialized_expand(records, graph)
-    streamed = list(expand_clones(sorted(records), graph))
-    assert streamed == expected
+    assert row_expand(records, graph) == expected
+    authority = _masking_authority()
+    assert list(fold_owners(records, graph, authority)) == \
+        QueryEngine._group(mask_records(expected, authority))
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,8 +92,8 @@ def test_streaming_expansion_handles_duplicate_gathers(graph, records, extra):
     """Duplicated input records (re-gathered copies) change nothing."""
     doubled = records + records + extra
     expected = materialized_expand(doubled, graph)
-    streamed = list(expand_clones(sorted(doubled), graph))
-    assert streamed == expected
+    assert row_expand(doubled, graph) == expected
+    assert list(fold_owners(doubled, graph)) == QueryEngine._group(expected)
 
 
 # ------------------------------------------------------ deep, wide chains
@@ -91,7 +115,7 @@ def test_deep_linear_chain_inherits_to_every_line():
     depth = 32
     graph = _linear_chain(depth)
     records = _parent_records(10)
-    out = list(expand_clones(records, graph))
+    out = row_expand(records, graph)
     assert out == materialized_expand(records, graph)
     assert len(out) == len(records) * (depth + 1)
     assert {r.line for r in out} == set(range(depth + 1))
@@ -102,7 +126,7 @@ def test_deep_chain_with_overrides_at_every_other_level():
     graph = _linear_chain(depth)
     records = [CombinedRecord(9, 1, 0, 0, 1, INFINITY)]
     records += [CombinedRecord(9, 1, 0, line, 0, 8) for line in range(2, depth + 1, 2)]
-    out = list(expand_clones(sorted(records), graph))
+    out = row_expand(records, graph)
     assert out == materialized_expand(records, graph)
     # Overridden lines keep only their override record; others inherit.
     for line in range(2, depth + 1, 2):
@@ -119,7 +143,7 @@ def test_branching_clone_tree():
     for child in range(1, lines):
         graph.add_clone(child, (child - 1) // 2, 5)
     records = _parent_records(20)
-    out = list(expand_clones(records, graph))
+    out = row_expand(records, graph)
     assert out == materialized_expand(records, graph)
     assert len(out) == len(records) * lines
 
@@ -128,8 +152,10 @@ def test_branching_clone_tree():
 
 
 def _streaming_peak(records, graph) -> int:
+    rows = records_to_rows(records, 6)
+    authority = AllVersionsAuthority()
     tracemalloc.start()
-    count = sum(1 for _ in expand_clones(iter(records), graph))
+    count = sum(1 for _ in fold_rows_for_query(iter(rows), graph, authority))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert count == len(records) * (len(graph.all_lines()))
@@ -149,7 +175,7 @@ def test_incremental_expansion_memory_stays_flat():
     """Streaming transient memory is flat in query width; materialised grows.
 
     This is the acceptance property of the incremental rewrite: quadrupling
-    the number of expanded reference groups must not grow the generator's
+    the number of expanded reference groups must not grow the row pipeline's
     working set (it holds one group at a time), while the materialised
     expansion's peak tracks the full result size.
     """

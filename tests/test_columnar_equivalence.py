@@ -1,8 +1,7 @@
-"""Differential tests locking the columnar row pipeline to the tuple path.
+"""Differential tests locking the columnar row pipeline to the record stages.
 
-The columnar rework keeps the legacy NamedTuple pipeline as first-class
-code behind ``BacklogConfig(columnar_pipeline=False)``, so every layer can
-be driven side by side with the packed-row one:
+Every layer of the packed-row pipeline is driven against a NamedTuple-level
+reference:
 
 * slab primitives in :mod:`repro.core.records` (``pack_row`` /
   ``records_to_rows`` round trips, memcmp order, :class:`RecordBlock`
@@ -11,10 +10,12 @@ be driven side by side with the packed-row one:
   chain ``fold_rows_for_query(join_rows_for_query(...))`` on generated
   tables with clones and snapshots;
 * whole Backlogs over seeded clone/snapshot/relocation workloads across
-  all three storage backends and worker counts, asserting identical
-  answers, identical pagination page contents and resume tokens, and
-  *exactly* equal ``pages_read``;
-* sharded clusters at 1 and 3 shards over the same replayed workload;
+  all three storage backends, against ``_legacy_query`` (the narrow arm's
+  record stages run over every run): identical full answers, concatenated
+  pagination equal to the full answer, and -- between worker counts --
+  identical page contents, resume tokens and *exactly* equal ``pages_read``;
+* sharded clusters at 1 and 3 shards against the same reference, with
+  exactly equal ``pages_read`` between the shard counts;
 * the version-2 ``QUERY_PAGE`` wire codec: pack/unpack identity, v2
   frames decoding into the v1 reply dict shape, v1 pickle frames from old
   peers still decodable, and malformed bodies rejected loudly.
@@ -69,7 +70,7 @@ from repro.cluster.protocol import (
     unpack_back_references,
 )
 
-from test_streaming_equivalence import _random_ops, _replay
+from test_streaming_equivalence import _legacy_query, _random_ops, _replay
 
 # ------------------------------------------------------------ slab layer
 
@@ -188,79 +189,69 @@ def test_scan_rows_bulk_matches_generator_chain(froms, tos, combined):
 # ----------------------------------------- whole-backlog differential
 
 
-def _backlog_pair(backend_factory, columnar_and_legacy_workers=(1, 1)):
-    """A columnar and a legacy Backlog over independent fresh backends."""
-    pair = []
-    for columnar, workers in zip((True, False), columnar_and_legacy_workers):
-        config = BacklogConfig(
-            partition_size_blocks=64,
-            columnar_pipeline=columnar,
-            query_workers=workers,
-        )
-        authority = ExplicitVersionAuthority()
-        pair.append((Backlog(backend=backend_factory(), config=config,
-                             version_authority=authority), authority))
-    return pair
+def _replayed_backlog(backend_factory, ops, query_workers):
+    authority = ExplicitVersionAuthority()
+    backlog = Backlog(
+        backend=backend_factory(),
+        config=BacklogConfig(partition_size_blocks=64,
+                             query_workers=query_workers),
+        version_authority=authority)
+    _replay(backlog, authority, ops)
+    return backlog
 
 
-def _assert_identical_query_behaviour(columnar: Backlog, legacy: Backlog,
-                                      device_blocks: int) -> None:
-    """Same answers, same page contents, same resume tokens, same I/O."""
+def _paginate(system, device_blocks: int, limit: int) -> List[Tuple[List, str]]:
+    """Every ``(page contents, resume token)`` of a whole-device scan."""
+    pages, token = [], None
+    for _ in range(200):
+        page = system.select(
+            QuerySpec(0, device_blocks, limit=limit, resume_token=token))
+        owners = page.all()
+        token = page.resume_token
+        pages.append((owners, token))
+        if page.exhausted:
+            return pages
+    raise AssertionError("pagination did not terminate")  # pragma: no cover
+
+
+def _assert_matches_record_stages(backlog: Backlog, device_blocks: int) -> None:
+    """Full answers and concatenated pages equal the record-stage answer."""
     for first, width in ((0, device_blocks), (device_blocks // 3, 17), (1, 3)):
-        before = (columnar.query_stats.pages_read,
-                  legacy.query_stats.pages_read)
-        a = columnar.query_range(first, width)
-        b = legacy.query_range(first, width)
-        assert a == b
-        assert all(type(ref) is BackReference for ref in a)
-        read_a = columnar.query_stats.pages_read - before[0]
-        read_b = legacy.query_stats.pages_read - before[1]
-        assert read_a == read_b, (read_a, read_b)
-
-    # Paginated cursor: page contents and resume tokens must agree at every
-    # page boundary, not just the concatenated answer.
-    token_a = token_b = None
-    for _ in range(64):
-        page_a = columnar.select(
-            QuerySpec(0, device_blocks, limit=7, resume_token=token_a))
-        page_b = legacy.select(
-            QuerySpec(0, device_blocks, limit=7, resume_token=token_b))
-        assert page_a.all() == page_b.all()
-        assert page_a.exhausted == page_b.exhausted
-        token_a, token_b = page_a.resume_token, page_b.resume_token
-        assert token_a == token_b
-        if page_a.exhausted:
-            break
-    else:  # pragma: no cover - defensive
-        raise AssertionError("pagination did not terminate")
+        answer = backlog.query_range(first, width)
+        assert answer == _legacy_query(backlog, first, width)
+        assert all(type(ref) is BackReference for ref in answer)
+    scanned = [ref for page, _ in _paginate(backlog, device_blocks, 7)
+               for ref in page]
+    assert scanned == _legacy_query(backlog, 0, device_blocks)
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_backlog_columnar_matches_tuple_path(backend_factory, seed):
-    """Seeded clone/snapshot/relocation workloads: both pipelines agree."""
+    """Seeded clone/snapshot/relocation workloads: rows answer like records."""
     ops = _random_ops(seed, num_cps=6, ops_per_cp=30)
-    (columnar, auth_a), (legacy, auth_b) = _backlog_pair(backend_factory)
+    backlog = _replayed_backlog(backend_factory, ops, query_workers=1)
     try:
-        _replay(columnar, auth_a, ops)
-        _replay(legacy, auth_b, ops)
-        _assert_identical_query_behaviour(columnar, legacy, 512)
+        _assert_matches_record_stages(backlog, 512)
     finally:
-        columnar.close()
-        legacy.close()
+        backlog.close()
 
 
 def test_backlog_columnar_matches_tuple_path_with_workers(backend_factory):
     """Worker fan-out (1 vs 4) changes nothing observable either."""
     ops = _random_ops(37, num_cps=6, ops_per_cp=30)
-    (columnar, auth_a), (legacy, auth_b) = _backlog_pair(
-        backend_factory, columnar_and_legacy_workers=(4, 1))
+    serial = _replayed_backlog(backend_factory, ops, query_workers=1)
+    fanned = _replayed_backlog(backend_factory, ops, query_workers=4)
     try:
-        _replay(columnar, auth_a, ops)
-        _replay(legacy, auth_b, ops)
-        _assert_identical_query_behaviour(columnar, legacy, 512)
+        for backlog in (serial, fanned):
+            _assert_matches_record_stages(backlog, 512)
+        # Identical work ran on both: page contents and resume tokens agree
+        # at every page boundary, and the I/O accounting is exactly equal.
+        assert _paginate(fanned, 512, 7) == _paginate(serial, 512, 7)
+        assert (fanned.query_stats.pages_read
+                == serial.query_stats.pages_read > 0)
     finally:
-        columnar.close()
-        legacy.close()
+        serial.close()
+        fanned.close()
 
 
 # ------------------------------------------------------ cluster layer
@@ -284,37 +275,35 @@ def _cluster_workload(cluster, rng: random.Random) -> None:
     cluster.checkpoint()
 
 
+def _cluster_scan(shard_factory, num_shards: int):
+    """``(full answer, concatenated pages, pages_read)`` of a fresh cluster."""
+    cluster = shard_factory(num_shards=num_shards,
+                            config=BacklogConfig(partition_size_blocks=64))
+    _cluster_workload(cluster, random.Random(4242))
+    answer = cluster.query_range(0, 400)
+    scanned = [ref for page, _ in _paginate(cluster, 400, 9) for ref in page]
+    return answer, scanned, cluster.query_stats.pages_read
+
+
 @pytest.mark.parametrize("num_shards", [1, 3])
 def test_cluster_columnar_matches_tuple_path(shard_factory, num_shards):
-    """Shard scatter-gather over v2 pages == the legacy tuple pipeline."""
-    clusters = {}
-    for columnar in (True, False):
-        config = BacklogConfig(partition_size_blocks=64,
-                               columnar_pipeline=columnar)
-        cluster = shard_factory(num_shards=num_shards, config=config)
-        _cluster_workload(cluster, random.Random(4242))
-        clusters[columnar] = cluster
+    """Shard scatter-gather over v2 pages == the in-process record stages."""
+    reference = Backlog(config=BacklogConfig(partition_size_blocks=64))
+    try:
+        _cluster_workload(reference, random.Random(4242))
+        expected = _legacy_query(reference, 0, 400)
+    finally:
+        reference.close()
 
-    answers = {c: cluster.query_range(0, 400)
-               for c, cluster in clusters.items()}
-    assert answers[True] == answers[False]
-    assert all(type(ref) is BackReference for ref in answers[True])
-
-    tokens = {True: None, False: None}
-    for _ in range(200):
-        pages = {c: clusters[c].select(
-            QuerySpec(0, 400, limit=9, resume_token=tokens[c]))
-            for c in (True, False)}
-        assert pages[True].all() == pages[False].all()
-        assert pages[True].exhausted == pages[False].exhausted
-        tokens = {c: pages[c].resume_token for c in (True, False)}
-        if pages[True].exhausted:
-            break
-    else:  # pragma: no cover - defensive
-        raise AssertionError("cluster pagination did not terminate")
-
-    reads = {c: clusters[c].query_stats.pages_read for c in (True, False)}
-    assert reads[True] == reads[False], reads
+    answer, scanned, pages_read = _cluster_scan(shard_factory, num_shards)
+    assert answer == expected
+    assert all(type(ref) is BackReference for ref in answer)
+    assert scanned == expected
+    if num_shards != 1:
+        # The same per-partition sub-queries ran; only the answering
+        # process moved.
+        assert _cluster_scan(shard_factory, 1) == (answer, scanned, pages_read)
+    assert pages_read > 0
 
 
 # ----------------------------------------------------- v2 wire codec

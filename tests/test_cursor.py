@@ -261,7 +261,7 @@ def test_select_matches_legacy_post_filtering(seed, narrow_dispatch_max_runs):
     """Every filter combination answers exactly like the legacy surface."""
     ops = _random_ops(seed)
     backlog, authority = _fresh_backlog(
-        streaming_compaction=True, narrow_dispatch_max_runs=narrow_dispatch_max_runs)
+        narrow_dispatch_max_runs=narrow_dispatch_max_runs)
     _replay(backlog, authority, ops)
 
     blocks = _all_blocks(ops)
@@ -328,7 +328,7 @@ def test_hypothesis_pagination_equivalence(seed, first, width, page_size,
 #: Hypothesis shares prebuilt instances: workload replay dominates runtime.
 _BACKLOGS = {}
 for _seed in (5, 31):
-    _bl, _auth = _fresh_backlog(streaming_compaction=True)
+    _bl, _auth = _fresh_backlog()
     _replay(_bl, _auth, _random_ops(_seed))
     if _seed == 31:
         _bl.maintain()
@@ -347,7 +347,7 @@ def test_pagination_resumes_across_checkpoint_and_maintenance(seed):
     re-laid-out (but observationally identical) database.
     """
     ops = _random_ops(seed)
-    backlog, authority = _fresh_backlog(streaming_compaction=True)
+    backlog, authority = _fresh_backlog()
     _replay(backlog, authority, ops)
 
     top = max(_all_blocks(ops)) + 2

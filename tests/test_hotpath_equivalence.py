@@ -1,7 +1,7 @@
 """Equivalence tests for the hot-path rework.
 
-The memtable :class:`WriteStore` must be observationally identical to the
-retained red-black-tree back end (:class:`RBTreeWriteStore`): identical flush
+The memtable :class:`WriteStore` must be observationally identical to a
+sorted-set model (a ``set`` of records plus ``sorted()``): identical flush
 order, range-query results and pruning behaviour for any operation sequence.
 The Bloom filter must round-trip through both serialization format versions
 and keep its no-false-negative guarantee through the version-2 stride-based
@@ -23,7 +23,7 @@ from repro.core.bloom import (
     STRIDE_SHIFT,
 )
 from repro.core.records import FromRecord
-from repro.core.write_store import RBTreeWriteStore, WriteStore
+from repro.core.write_store import WriteStore
 
 
 # ----------------------------------------------------- write-store equivalence
@@ -34,7 +34,7 @@ _record_fields = st.tuples(
 )
 
 # An op is (kind, payload): insert/remove carry record fields, flush/prune
-# probe states shared by both back ends.
+# probe states shared by the store and its model.
 _op = st.one_of(
     st.tuples(st.just("insert"), _record_fields),
     st.tuples(st.just("remove"), _record_fields),
@@ -43,44 +43,54 @@ _op = st.one_of(
 )
 
 
+def _discard(model: set, record: FromRecord) -> bool:
+    present = record in model
+    model.discard(record)
+    return present
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_op, max_size=150), st.integers(0, 40), st.integers(1, 10))
 def test_memtable_matches_rbtree_store(ops, probe_block, probe_width):
-    """Property: both back ends agree on every observable behaviour."""
-    new_store = WriteStore("from")
-    old_store = RBTreeWriteStore("from")
+    """Property: the store agrees with a sorted-set model on every observable.
+
+    (The test keeps the name it had when the reference was the red-black-tree
+    store; the model states the same contract without a second back end.)
+    """
+    store = WriteStore("from")
+    model: set = set()
 
     for kind, payload in ops:
+        record = FromRecord(*payload) if payload is not None else None
         if kind == "insert":
-            record = FromRecord(*payload)
-            new_store.insert(record)
-            old_store.insert(record)
+            store.insert(record)
+            model.add(record)
         elif kind == "remove":
-            record = FromRecord(*payload)
-            assert new_store.remove(record) == old_store.remove(record)
+            assert store.remove(record) == _discard(model, record)
         elif kind == "prune":
-            assert (new_store.remove_key(*payload)
-                    == old_store.remove_key(*payload))
+            assert store.remove_key(*payload) == _discard(model, record)
         else:  # flush: drain in sorted order and start over
-            assert list(new_store) == list(old_store)
-            new_store.clear()
-            old_store.clear()
-            assert len(new_store) == len(old_store) == 0
+            assert list(store) == sorted(model)
+            store.clear()
+            model.clear()
 
         # Invariants checked after every op keep shrunk failures small.
-        assert len(new_store) == len(old_store)
+        assert len(store) == len(model)
 
-    assert list(new_store) == list(old_store)
-    assert new_store.sorted_records() == old_store.sorted_records()
-    assert new_store.distinct_blocks() == old_store.distinct_blocks()
-    assert (new_store.records_for_block_range(probe_block, probe_width)
-            == old_store.records_for_block_range(probe_block, probe_width))
-    assert (new_store.records_for_block(probe_block)
-            == old_store.records_for_block(probe_block))
+    ordered = sorted(model)
+    assert list(store) == ordered
+    assert store.sorted_records() == ordered
+    assert store.distinct_blocks() == sorted({record.block for record in model})
+    assert (store.records_for_block_range(probe_block, probe_width)
+            == [record for record in ordered
+                if probe_block <= record.block < probe_block + probe_width])
+    assert (store.records_for_block(probe_block)
+            == [record for record in ordered if record.block == probe_block])
     for kind, payload in ops:
         if kind in ("insert", "remove", "prune"):
-            assert new_store.contains(*payload) == old_store.contains(*payload)
-            assert new_store.find(*payload) == old_store.find(*payload)
+            record = FromRecord(*payload)
+            assert store.contains(*payload) == (record in model)
+            assert store.find(*payload) == (record if record in model else None)
 
 
 def test_memtable_interleaved_queries_resort():

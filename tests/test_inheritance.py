@@ -1,25 +1,47 @@
 """Tests for structural inheritance (writable clone expansion).
 
 Both expansion implementations are covered: the behavioural tests run
-against :func:`materialized_expand` (any input order, returns a list) and
-against the streaming :func:`expand_clones` generator (sorted input, yields
-a sorted stream); streaming-specific contract tests follow.
+against :func:`materialized_expand` (records in any order, returns a list)
+and against the row form the query engine's wide arm uses
+(:func:`expand_row_group` over sorted packed rows, one reference group at a
+time); contract tests for the streaming row pipeline follow.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.inheritance import CloneGraph, expand_clones, materialized_expand
-from repro.core.records import CombinedRecord, INFINITY
+from repro.core.columnar import _expand_rows, fold_rows_for_query
+from repro.core.inheritance import CloneGraph, materialized_expand, pack_children_map
+from repro.core.masking import AllVersionsAuthority
+from repro.core.query import QueryEngine
+from repro.core.records import (
+    CombinedRecord,
+    INFINITY,
+    records_to_rows,
+    rows_to_records,
+)
 
 
-def _streaming(records, graph):
-    """Drive the streaming generator the way the query pipeline does."""
-    return list(expand_clones(sorted(records), graph))
+def row_expand(records, graph):
+    """Drive the row expansion the way the wide arm does, records in and out.
+
+    Sorted packed rows stream through :func:`repro.core.columnar._expand_rows`,
+    which splits them into ``(block, inode, offset)`` groups and runs
+    :func:`repro.core.inheritance.expand_row_group` on each.
+    """
+    rows = _expand_rows(records_to_rows(sorted(records), 6),
+                        pack_children_map(graph.children_map()))
+    return rows_to_records(list(rows), CombinedRecord)
 
 
-@pytest.fixture(params=[materialized_expand, _streaming], ids=["materialized", "streaming"])
+def fold_owners(records, graph, authority=None):
+    """The wide arm's fused expansion + masking + owner fold over ``records``."""
+    return fold_rows_for_query(records_to_rows(sorted(records), 6), graph,
+                               authority or AllVersionsAuthority())
+
+
+@pytest.fixture(params=[materialized_expand, row_expand], ids=["materialized", "streaming"])
 def expand(request):
     return request.param
 
@@ -139,23 +161,26 @@ class TestExpandClones:
 
 
 class TestStreamingContract:
-    """Contracts specific to the incremental generator."""
+    """Contracts specific to the wide arm's streaming row pipeline."""
 
     def test_returns_iterator_not_list(self):
-        result = expand_clones([], CloneGraph())
+        result = fold_owners([], CloneGraph())
         assert iter(result) is result
 
     def test_no_clones_is_a_dedup_pass_through(self):
-        records = sorted([
+        records = [
             CombinedRecord(1, 1, 0, 0, 1, 5),
             CombinedRecord(1, 1, 0, 0, 1, 5),
             CombinedRecord(2, 1, 0, 0, 1, INFINITY),
-        ])
-        out = list(expand_clones(records, CloneGraph()))
-        assert out == [records[0], records[2]]
+        ]
+        assert row_expand(records, CloneGraph()) == [records[0], records[2]]
+        assert list(fold_owners(records, CloneGraph())) == [
+            (1, 1, 0, 0, ((1, 5),)),
+            (2, 1, 0, 0, ((1, INFINITY),)),
+        ]
 
     def test_lazy_one_group_at_a_time(self):
-        """The generator must not read past the group it is emitting."""
+        """The pipeline must not read past the group it is emitting."""
         graph = CloneGraph()
         graph.add_clone(1, 0, 10)
         pulled = []
@@ -167,12 +192,12 @@ class TestStreamingContract:
                 CombinedRecord(7, 1, 0, 0, 1, INFINITY),
             ]:
                 pulled.append(record.block)
-                yield record
+                yield from records_to_rows([record], 6)
 
-        stream = expand_clones(source(), graph)
+        stream = fold_rows_for_query(source(), graph, AllVersionsAuthority())
         first = next(stream)
-        assert first.block == 5
-        # Emitting block 5's group required reading one record beyond the
+        assert first[0] == 5
+        # Emitting block 5's group required reading one row beyond the
         # group boundary (block 6) but never block 7.
         assert pulled == [5, 6]
 
@@ -185,17 +210,21 @@ class TestStreamingContract:
             CombinedRecord(5, 1, 0, 2, 4, INFINITY),
             CombinedRecord(9, 2, 1, 0, 1, INFINITY),
         ])
-        out = list(expand_clones(records, graph))
+        out = row_expand(records, graph)
         assert out == sorted(out)
         assert out == materialized_expand(records, graph)
+        owners = list(fold_owners(records, graph))
+        assert owners == sorted(owners)
+        assert owners == QueryEngine._group(out)
 
     def test_duplicates_across_group_boundary(self):
         graph = CloneGraph()
         graph.add_clone(1, 0, 10)
         a = CombinedRecord(5, 1, 0, 0, 1, INFINITY)
         b = CombinedRecord(6, 1, 0, 0, 1, INFINITY)
-        out = list(expand_clones([a, a, b, b], graph))
-        assert out == materialized_expand([a, a, b, b], graph)
+        expected = materialized_expand([a, a, b, b], graph)
+        assert row_expand([a, a, b, b], graph) == expected
+        assert list(fold_owners([a, a, b, b], graph)) == QueryEngine._group(expected)
 
     def test_synthesized_records_do_not_act_as_overrides(self):
         """Only *initial* from=0 records suppress inheritance (§4.2.2)."""
@@ -203,7 +232,7 @@ class TestStreamingContract:
         graph.add_clone(1, 0, 10)
         graph.add_clone(2, 1, 20)
         records = [CombinedRecord(5, 1, 0, 0, 1, INFINITY)]
-        out = list(expand_clones(records, graph))
+        out = row_expand(records, graph)
         # Line 1 inherits (from=0), and despite that record having from=0 it
         # must still propagate to line 2.
         assert CombinedRecord(5, 1, 0, 2, 0, INFINITY) in out

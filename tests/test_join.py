@@ -1,12 +1,44 @@
-"""Tests for the From/To outer join, including the paper's worked examples."""
+"""Tests for the From/To outer join, including the paper's worked examples.
+
+The Combined-view cases run against :func:`materialized_join` (records, any
+order) and against the row merge-join :func:`join_rows_for_query` (sorted
+packed rows); the table-split cases run against compaction's
+:func:`stream_join_tables`.
+"""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.join import combine_for_query, join_tables
-from repro.core.records import CombinedRecord, FromRecord, INFINITY, ToRecord
+from repro.core.columnar import join_rows_for_query
+from repro.core.join import materialized_join, stream_join_tables
+from repro.core.records import (
+    CombinedRecord,
+    FromRecord,
+    INFINITY,
+    ToRecord,
+    records_to_rows,
+    rows_to_records,
+)
+
+
+def combined_view(froms, tos, combined=()):
+    """The Combined view of the records, identical from both query joins."""
+    view = materialized_join(froms, tos, combined)
+    rows = join_rows_for_query(records_to_rows(sorted(froms), 5),
+                               records_to_rows(sorted(tos), 5),
+                               records_to_rows(sorted(combined), 6))
+    assert rows_to_records(list(rows), CombinedRecord) == view
+    return view
+
+
+def split_tables(froms, tos, combined=()):
+    """``(complete, incomplete)`` tables out of compaction's tagged join."""
+    complete, incomplete = [], []
+    for table, record in stream_join_tables(sorted(froms), sorted(tos), sorted(combined)):
+        (complete if table == "combined" else incomplete).append(record)
+    return complete, incomplete
 
 
 class TestPaperExamples:
@@ -14,7 +46,7 @@ class TestPaperExamples:
         """Inode 2 creates two blocks at CP 4 and truncates to one at CP 7."""
         froms = [FromRecord(100, 2, 0, 0, 4), FromRecord(101, 2, 1, 0, 4)]
         tos = [ToRecord(101, 2, 1, 0, 7)]
-        combined = combine_for_query(froms, tos)
+        combined = combined_view(froms, tos)
         assert CombinedRecord(100, 2, 0, 0, 4, INFINITY) in combined
         assert CombinedRecord(101, 2, 1, 0, 4, 7) in combined
         assert len(combined) == 2
@@ -30,7 +62,7 @@ class TestPaperExamples:
             ToRecord(103, 4, 0, 0, 12),
             ToRecord(103, 4, 0, 0, 20),
         ]
-        combined = combine_for_query(froms, tos)
+        combined = combined_view(froms, tos)
         assert combined == [
             CombinedRecord(103, 4, 0, 0, 10, 12),
             CombinedRecord(103, 4, 0, 0, 16, 20),
@@ -44,7 +76,7 @@ class TestPaperExamples:
             FromRecord(107, 5, 2, 1, 43),
         ]
         tos = [ToRecord(103, 5, 2, 1, 43)]
-        combined = combine_for_query(froms, tos)
+        combined = combined_view(froms, tos)
         assert CombinedRecord(103, 5, 2, 0, 30, INFINITY) in combined
         assert CombinedRecord(107, 5, 2, 1, 43, INFINITY) in combined
         # The lone To entry joins with an implicit from = 0: an override record.
@@ -54,13 +86,13 @@ class TestPaperExamples:
 class TestCombineForQuery:
     def test_precomputed_combined_passes_through(self):
         existing = [CombinedRecord(50, 1, 0, 0, 2, 9)]
-        result = combine_for_query([], [], existing)
+        result = combined_view([], [], existing)
         assert result == existing
 
     def test_multiple_lifetimes_same_key(self):
         froms = [FromRecord(7, 1, 0, 0, 1), FromRecord(7, 1, 0, 0, 5), FromRecord(7, 1, 0, 0, 9)]
         tos = [ToRecord(7, 1, 0, 0, 3), ToRecord(7, 1, 0, 0, 7)]
-        result = combine_for_query(froms, tos)
+        result = combined_view(froms, tos)
         assert result == [
             CombinedRecord(7, 1, 0, 0, 1, 3),
             CombinedRecord(7, 1, 0, 0, 5, 7),
@@ -71,7 +103,7 @@ class TestCombineForQuery:
         """An override To followed by a later re-allocation in the same line."""
         froms = [FromRecord(9, 3, 0, 1, 50)]
         tos = [ToRecord(9, 3, 0, 1, 43)]
-        result = combine_for_query(froms, tos)
+        result = combined_view(froms, tos)
         assert result == [
             CombinedRecord(9, 3, 0, 1, 0, 43),
             CombinedRecord(9, 3, 0, 1, 50, INFINITY),
@@ -79,7 +111,7 @@ class TestCombineForQuery:
 
     def test_result_sorted(self):
         froms = [FromRecord(9, 1, 0, 0, 1), FromRecord(3, 1, 0, 0, 1)]
-        result = combine_for_query(froms, [])
+        result = combined_view(froms, [])
         assert [r.block for r in result] == [3, 9]
 
 
@@ -88,7 +120,7 @@ class TestJoinTables:
         """Compaction keeps incomplete records in the From table (§5.2)."""
         froms = [FromRecord(1, 1, 0, 0, 2), FromRecord(2, 1, 1, 0, 3)]
         tos = [ToRecord(1, 1, 0, 0, 5)]
-        complete, incomplete = join_tables(froms, tos)
+        complete, incomplete = split_tables(froms, tos)
         assert complete == [CombinedRecord(1, 1, 0, 0, 2, 5)]
         assert incomplete == [FromRecord(2, 1, 1, 0, 3)]
 
@@ -96,12 +128,12 @@ class TestJoinTables:
         existing = [CombinedRecord(5, 1, 0, 0, 1, 2)]
         froms = [FromRecord(3, 1, 0, 0, 1)]
         tos = [ToRecord(3, 1, 0, 0, 4)]
-        complete, incomplete = join_tables(froms, tos, existing)
+        complete, incomplete = split_tables(froms, tos, existing)
         assert complete == [CombinedRecord(3, 1, 0, 0, 1, 4), CombinedRecord(5, 1, 0, 0, 1, 2)]
         assert incomplete == []
 
     def test_empty_inputs(self):
-        complete, incomplete = join_tables([], [])
+        complete, incomplete = split_tables([], [])
         assert complete == [] and incomplete == []
 
 
@@ -119,7 +151,7 @@ def test_join_single_key_properties(from_cps, to_cps):
     """
     froms = [FromRecord(1, 1, 0, 0, cp) for cp in set(from_cps)]
     tos = [ToRecord(1, 1, 0, 0, cp) for cp in set(to_cps)]
-    result = combine_for_query(froms, tos)
+    result = combined_view(froms, tos)
 
     starts = sorted(r.from_cp for r in result if not r.is_override)
     assert starts == sorted({cp for cp in from_cps})

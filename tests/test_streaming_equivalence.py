@@ -1,19 +1,20 @@
-"""Differential tests locking the streaming pipelines to the legacy paths.
+"""Differential tests locking the streaming stages to the materialised ones.
 
-This PR's streaming rework keeps every pre-streaming implementation as
-first-class code so it can be driven side by side with the new one:
+The references are the live narrow-arm stages, driven side by side with the
+streaming code over identical inputs:
 
 * :func:`repro.core.join.materialized_join` (dict re-grouping) vs
-  :func:`repro.core.join.merge_join_for_query` (sort-merge join);
-* :func:`repro.core.join.join_tables` vs
-  :func:`repro.core.join.stream_join_tables`;
-* the materialising compactor (``BacklogConfig(streaming_compaction=False)``)
-  vs the streaming generator-chain compactor.
+  :func:`repro.core.columnar.join_rows_for_query` (row sort-merge join) and
+  vs :func:`repro.core.join.stream_join_tables` (compaction's join);
+* ``_legacy_query`` -- gather lists, ``materialized_join``,
+  ``materialized_expand``, ``mask_records``, ``QueryEngine._group`` -- vs the
+  production query engine on live instances, with the narrow arm on and off.
 
-The property tests here assert *observational identity*: same query answers,
-same record streams, and -- for compaction -- byte-identical run files, over
-seeded randomized workloads mixing allocations, frees, overwrites, clones,
-snapshots, snapshot deletions and block relocations across multiple lines.
+The property tests here assert *observational identity*: same query answers
+and same record streams over seeded randomized workloads mixing allocations,
+frees, overwrites, clones, snapshots, snapshot deletions and block
+relocations across multiple lines; compaction is held to unchanged query
+answers and, across storage backends, to byte-identical run files.
 """
 
 from __future__ import annotations
@@ -27,15 +28,18 @@ from hypothesis import strategies as st
 
 from repro.core.backlog import Backlog
 from repro.core.config import BacklogConfig
-from repro.core.join import (
-    join_tables,
-    materialized_join,
-    merge_join_for_query,
-    stream_join_tables,
-)
+from repro.core.columnar import join_rows_for_query
+from repro.core.join import materialized_join, stream_join_tables
 from repro.core.masking import ExplicitVersionAuthority, mask_records
 from repro.core.inheritance import materialized_expand
-from repro.core.records import CombinedRecord, FromRecord, ToRecord
+from repro.core.records import (
+    INFINITY,
+    CombinedRecord,
+    FromRecord,
+    ToRecord,
+    records_to_rows,
+    rows_to_records,
+)
 from repro.fsim.blockdev import MemoryBackend
 
 
@@ -63,17 +67,25 @@ _combined_records = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(_from_records, _to_records, _combined_records)
 def test_merge_join_matches_materialized_join(froms, tos, combined):
-    """Property: the streaming join emits exactly the materialized result."""
+    """Property: the row merge-join emits exactly the materialized result."""
     expected = materialized_join(froms, tos, combined)
-    streamed = list(merge_join_for_query(sorted(froms), sorted(tos), sorted(combined)))
-    assert streamed == expected
+    streamed = join_rows_for_query(records_to_rows(sorted(froms), 5),
+                                   records_to_rows(sorted(tos), 5),
+                                   records_to_rows(sorted(combined), 6))
+    assert rows_to_records(list(streamed), CombinedRecord) == expected
 
 
 @settings(max_examples=120, deadline=None)
 @given(_from_records, _to_records, _combined_records)
 def test_stream_join_tables_matches_join_tables(froms, tos, combined):
-    """Property: tagged streaming output equals both legacy output tables."""
-    complete_expected, incomplete_expected = join_tables(froms, tos, combined)
+    """Property: tagged streaming output splits the materialized join.
+
+    Complete records are the Combined view's bounded ones; the live rest
+    stays in the From table as ``FromRecord``s.
+    """
+    joined = materialized_join(froms, tos, combined)
+    complete_expected = [r for r in joined if r.to_cp != INFINITY]
+    incomplete_expected = [FromRecord(*r[:5]) for r in joined if r.to_cp == INFINITY]
     complete_streamed: List[CombinedRecord] = []
     incomplete_streamed: List[FromRecord] = []
     for table, record in stream_join_tables(sorted(froms), sorted(tos), sorted(combined)):
@@ -179,14 +191,12 @@ def _replay(backlog: Backlog, authority: ExplicitVersionAuthority, ops: List[Tup
             raise AssertionError(f"unknown op {kind!r}")
 
 
-def _fresh_backlog(streaming_compaction: bool,
-                   narrow_dispatch_max_runs: int = 2,
+def _fresh_backlog(narrow_dispatch_max_runs: int = 2,
                    backend=None,
                    ) -> Tuple[Backlog, ExplicitVersionAuthority]:
     authority = ExplicitVersionAuthority()
     config = BacklogConfig(
         partition_size_blocks=64,  # small partitions: flush + compaction split
-        streaming_compaction=streaming_compaction,
         narrow_dispatch_max_runs=narrow_dispatch_max_runs,
     )
     backlog = Backlog(backend=backend if backend is not None else MemoryBackend(),
@@ -211,11 +221,11 @@ def _backend_bytes(backend: MemoryBackend) -> Dict[str, List[bytes]]:
 
 
 def _legacy_query(backlog: Backlog, first_block: int, num_blocks: int):
-    """The pre-streaming query pipeline: gather lists, dict-join, group.
+    """The narrow arm's stages over every run: gather lists, dict-join, group.
 
-    Reimplements the seed's read path on top of the retained
-    :func:`materialized_join` so the production streaming path can be checked
-    against it on a live instance.
+    Skips the Bloom prefilter and the size dispatch, so the production
+    engine -- whichever arm it picks -- can be checked against it on a live
+    instance.
     """
     engine = backlog._query_engine
     froms, tos, combined = [], [], []
@@ -243,14 +253,13 @@ def _legacy_query(backlog: Backlog, first_block: int, num_blocks: int):
 def test_streaming_query_matches_legacy_pipeline(seed, narrow_dispatch_max_runs):
     """Same answers for point, narrow, wide and whole-device queries.
 
-    Run once with the narrow-query fast path disabled (every query goes
-    through the streaming generator chain) and once with the default size
-    dispatch, so both execution strategies are differentially checked
-    against the reimplemented pre-streaming pipeline.
+    Run once with the narrow arm disabled (every query goes through the
+    row pipeline) and once with the default size dispatch, so both arms are
+    differentially checked against ``_legacy_query``.
     """
     ops = _random_ops(seed)
     backlog, authority = _fresh_backlog(
-        streaming_compaction=True, narrow_dispatch_max_runs=narrow_dispatch_max_runs)
+        narrow_dispatch_max_runs=narrow_dispatch_max_runs)
     _replay(backlog, authority, ops)
 
     blocks = _all_blocks(ops)
@@ -277,8 +286,8 @@ def test_streaming_query_matches_legacy_pipeline(seed, narrow_dispatch_max_runs)
 def test_narrow_dispatch_matches_forced_streaming(seed):
     """The size-dispatched engine answers exactly like a streaming-only one."""
     ops = _random_ops(seed)
-    dispatched, auth_d = _fresh_backlog(True, narrow_dispatch_max_runs=2)
-    streaming_only, auth_s = _fresh_backlog(True, narrow_dispatch_max_runs=0)
+    dispatched, auth_d = _fresh_backlog(narrow_dispatch_max_runs=2)
+    streaming_only, auth_s = _fresh_backlog(narrow_dispatch_max_runs=0)
     _replay(dispatched, auth_d, ops)
     _replay(streaming_only, auth_s, ops)
 
@@ -300,41 +309,6 @@ def test_narrow_dispatch_matches_forced_streaming(seed):
     assert dispatched.query_stats.narrow_fast_path_queries == 0
 
 
-# --------------------------------------------- compaction-path equivalence
-
-
-@pytest.mark.parametrize("seed", [3, 11, 42, 77])
-def test_streaming_compaction_bytes_identical_to_legacy(seed):
-    """Both compactors must write the exact same files, byte for byte."""
-    ops = _random_ops(seed)
-    streaming, auth_s = _fresh_backlog(streaming_compaction=True)
-    legacy, auth_l = _fresh_backlog(streaming_compaction=False)
-
-    _replay(streaming, auth_s, ops)
-    _replay(legacy, auth_l, ops)
-
-    result_s = streaming.maintain()
-    result_l = legacy.maintain()
-
-    assert _backend_bytes(streaming.backend) == _backend_bytes(legacy.backend)
-    assert (result_s.records_in, result_s.records_out, result_s.records_purged) == \
-           (result_l.records_in, result_l.records_out, result_l.records_purged)
-
-    # A second workload round on top of the compacted state exercises the
-    # Combined pass-through path of the join; the stores must stay in
-    # lock step through a second compaction too.
-    more_ops = _random_ops(seed + 1000, num_cps=4, line_base=10)
-    _replay(streaming, auth_s, more_ops)
-    _replay(legacy, auth_l, more_ops)
-    streaming.maintain()
-    legacy.maintain()
-    assert _backend_bytes(streaming.backend) == _backend_bytes(legacy.backend)
-
-    blocks = _all_blocks(ops) + _all_blocks(more_ops)
-    for block in blocks:
-        assert streaming.query(block) == legacy.query(block)
-
-
 # --------------------------------------------- backend-differential tier
 
 
@@ -350,8 +324,8 @@ def test_pipeline_equivalent_on_every_backend(backend_factory, seed):
     every hierarchical run name through the flat-file escape.
     """
     ops = _random_ops(seed)
-    reference, auth_ref = _fresh_backlog(True)
-    candidate, auth_c = _fresh_backlog(True, backend=backend_factory())
+    reference, auth_ref = _fresh_backlog()
+    candidate, auth_c = _fresh_backlog(backend=backend_factory())
     _replay(reference, auth_ref, ops)
     _replay(candidate, auth_c, ops)
 
@@ -372,9 +346,9 @@ def test_pipeline_equivalent_on_every_backend(backend_factory, seed):
 
 @pytest.mark.parametrize("seed", [5, 19])
 def test_compaction_preserves_query_answers(seed):
-    """Streaming compaction must not change any query answer."""
+    """Compaction must not change any query answer."""
     ops = _random_ops(seed)
-    backlog, authority = _fresh_backlog(streaming_compaction=True)
+    backlog, authority = _fresh_backlog()
     _replay(backlog, authority, ops)
 
     blocks = _all_blocks(ops)
