@@ -34,8 +34,6 @@ The baselines:
 * a single-shard process cluster measured against 3 shard processes on
   Zipf-skewed, CPU-bound deep clone-chain point queries -- aggregate
   client queries/sec, identical answers asserted inline;
-* the streaming writer's per-leaf ``add_many`` Bloom build, measured
-  against the bulk scratch-arena build from the whole sorted flush array;
 * the v1 pickled-NamedTuple QUERY_PAGE reply wire, measured against the
   packed v2 frame codec with identical decoded results asserted inline.
 
@@ -124,16 +122,10 @@ TARGETS = {
     # PR 8: the read-side partition fan-out -- a whole-device query over a
     # (throttled) disk-image backend must be >= 1.5x faster with 4 query
     # workers than serial, with byte-identical answers and exact page
-    # accounting asserted inline; batched DiskBackend run writes must beat
-    # the historical open/append/close-per-page pattern by >= 1.2x; and the
-    # bulk Bloom build from the sorted flush array must not regress below
-    # the per-leaf streaming build (>= 0.9, i.e. hashing parity within
-    # noise -- the win is the per-leaf key-list allocations it skips, which
-    # are a small slice of a build dominated by the hash loop itself, so
-    # the honest ratio hovers within a few percent of 1.0 either side).
+    # accounting asserted inline; and batched DiskBackend run writes must
+    # beat the historical open/append/close-per-page pattern by >= 1.2x.
     "query_fanout": 1.5,
     "disk_backend": 1.2,
-    "bloom_bulk_build": 0.9,
     # PR 9: the coordinator/worker process cluster -- aggregate point-query
     # throughput on CPU-bound deep clone-chain expansion must be >= 1.5x
     # with 3 shard processes vs a single-shard cluster, identical answers
@@ -1208,65 +1200,6 @@ def bench_disk_backend(num_files: int, pages_per_file: int) -> dict:
     return entry
 
 
-# --------------------------------------------------------- bulk Bloom build
-
-def bench_bloom_bulk_build(num_records: int, num_builds: int) -> dict:
-    """Filter build from a sorted flush record array: per-leaf vs bulk.
-
-    One operation = one record's block fed into a run's Bloom filter during
-    flush.  ``legacy`` is the streaming writer's shape: one fresh key-list
-    comprehension and one stateless ``add_many`` per leaf page, which
-    re-hashes every leaf-boundary-spanning block and re-inserts the leading
-    stride key of every leaf; ``new`` is the bulk ``build`` path -- the whole
-    sorted record array's keys extracted through one ``map(itemgetter(0))``
-    into a reused scratch arena and fed to a single cross-chunk-deduplicating
-    :class:`BloomBulkAdder` chunk.  Both filters must serialize to identical
-    bytes (the chunk-invariance the read-store writer relies on).
-    """
-    from operator import itemgetter
-
-    rng = random.Random(31337)
-    blocks = sorted(rng.randrange(1 << 22) for _ in range(num_records))
-    # Shaped like a sorted flush array: (block, ...) record tuples with
-    # occasional same-block repeats (two owners of one physical block).
-    records = []
-    for block in blocks:
-        records.append((block, block % 64))
-        if block % 5 == 0:
-            records.append((block, (block + 1) % 64))
-    leaf = 128
-
-    # One untimed build per path: the first filter in a fresh arena pays
-    # allocator growth the steady state does not.
-    warm = BloomFilter(DEFAULT_FILTER_BITS, num_hashes=4)
-    warm.add_many([record[0] for record in records[:leaf]])
-    warm.bulk_adder().add_chunk([record[0] for record in records[:leaf]])
-
-    start = time.perf_counter()
-    for _ in range(num_builds):
-        legacy = BloomFilter(DEFAULT_FILTER_BITS, num_hashes=4)
-        for i in range(0, len(records), leaf):
-            legacy.add_many([record[0] for record in records[i:i + leaf]])
-    legacy_seconds = time.perf_counter() - start
-
-    arena: List[int] = []
-    start = time.perf_counter()
-    for _ in range(num_builds):
-        bulk = BloomFilter(DEFAULT_FILTER_BITS, num_hashes=4)
-        adder = bulk.bulk_adder()
-        arena.clear()
-        arena.extend(map(itemgetter(0), records))
-        adder.add_chunk(arena)
-    new_seconds = time.perf_counter() - start
-
-    if legacy.to_bytes() != bulk.to_bytes():
-        raise AssertionError("bulk-built filter differs from the per-leaf build")
-    entry = _entry(legacy_seconds, new_seconds, len(records) * num_builds)
-    entry["leaf_records"] = leaf
-    entry["records_per_build"] = len(records)
-    return entry
-
-
 # --------------------------------------------------------------------- cache
 
 def _scan_invalidate(cache: PageCache, name: str) -> None:
@@ -1483,8 +1416,6 @@ def run(quick: bool) -> dict:
         # Real-filesystem I/O: constant-size in quick mode, since the
         # open/close-per-page overhead being measured is a per-op constant.
         "disk_backend": bench_disk_backend(num_files=16, pages_per_file=256),
-        "bloom_bulk_build": bench_bloom_bulk_build(
-            num_records=30_000 * gated_scale, num_builds=3),
         "cache_invalidate": bench_cache_invalidate(
             num_files=60 * scale, pages_per_file=48),
         # Gated, so it runs full-size in quick mode like every other gated

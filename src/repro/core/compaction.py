@@ -233,8 +233,14 @@ class Compactor:
         from_writer = ReadStoreWriter(
             self.run_manager.backend, from_name, "from",
             bloom_bits=self.config.run_bloom_bits)
-        combined_writer.begin()
-        from_writer.begin()
+        # Every complete record consumes one To or one earlier Combined
+        # record, and every leftover From is an input From: the inputs bound
+        # the outputs, so neither filter starts at its configured maximum.
+        runs_for = self.run_manager.runs_for
+        bound = {table: sum(run.num_records for run in runs_for(partition, table))
+                 for table in ("from", "to", "combined")}
+        combined_writer.begin(max_records=bound["to"] + bound["combined"])
+        from_writer.begin(max_records=bound["from"])
 
         purged = 0
         pinned_cache: Dict[int, Optional[Sequence[int]]] = {}
@@ -252,9 +258,10 @@ class Compactor:
         records_out = combined_writer.num_records_added + from_writer.num_records_added
         new_runs: Dict[str, List[ReadStoreReader]] = {"combined": [], "from": [], "to": []}
         for table, writer in (("combined", combined_writer), ("from", from_writer)):
-            built = writer.finish()
+            built = writer.finish(cache=self.run_manager.cache,
+                                  verify_checksums=self.run_manager.verify_checksums)
             if built is not None:
-                new_runs[table].append(self._reopen_through_cache(built))
+                new_runs[table].append(built)
         return counters[0], records_out, purged, new_runs
 
     # ------------------------------------------------------------ internals
@@ -291,9 +298,3 @@ class Compactor:
         pinned = set(valid)
         pinned.update(self.clone_graph.clone_versions(line))
         return sorted(pinned)
-
-    def _reopen_through_cache(self, built: ReadStoreReader) -> ReadStoreReader:
-        """Re-open a freshly written run through the shared page cache."""
-        return ReadStoreReader(self.run_manager.backend, built.name,
-                               cache=self.run_manager.cache, bloom=built.bloom,
-                               verify_checksums=self.run_manager.verify_checksums)

@@ -196,6 +196,11 @@ class RunManager:
         byte-identical to a serial one.  Returns ``None`` (and creates no
         file) for an empty input.
 
+        The run is opened once, by the writer, through the shared page cache
+        and with the Bloom filter it just built; when ``records`` is a
+        sequence its length sizes that filter, so the cost of a run follows
+        its records and not ``bloom_bits``.
+
         ``retry`` (a :class:`~repro.core.executor.RetryPolicy`) is for
         direct callers only: ``records`` must then be re-iterable (a
         sequence, not a generator).  The executors apply their own policy
@@ -204,14 +209,8 @@ class RunManager:
         """
         def attempt() -> Optional[ReadStoreReader]:
             writer = ReadStoreWriter(self.backend, name, table, bloom_bits=bloom_bits)
-            reader = writer.build(records)
-            if reader is None:
-                return None
-            # Re-open through the shared cache so queries benefit from it;
-            # keep the freshly built Bloom filter (no reload from disk).
-            return ReadStoreReader(self.backend, name, cache=self.cache,
-                                   bloom=reader.bloom,
-                                   verify_checksums=self.verify_checksums)
+            return writer.build(records, cache=self.cache,
+                                verify_checksums=self.verify_checksums)
 
         return retry.run(attempt) if retry is not None else attempt()
 

@@ -45,7 +45,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from zlib import crc32
 
-from repro.core.bloom import BloomFilter, DEFAULT_FILTER_BITS
+from repro.core.bloom import BloomFilter, DEFAULT_FILTER_BITS, fit_bits
 from repro.core.records import (
     COMBINED_RECORD_SIZE,
     COMBINED_STRUCT,
@@ -178,52 +178,53 @@ class ReadStoreWriter:
         self._page_file: Optional[PageFile] = None
         self._open = False
 
-    def build(self, records: Iterable[AnyRecord]) -> Optional["ReadStoreReader"]:
+    def build(self, records: Iterable[AnyRecord], cache: Optional[PageCache] = None,
+              verify_checksums: bool = True) -> Optional["ReadStoreReader"]:
         """Write all ``records`` (which must be pre-sorted) and return a reader.
 
         Returns ``None`` without creating a file when the iterator is empty.
+        ``cache`` and ``verify_checksums`` are handed to :meth:`finish`.
 
-        A materialised (``Sequence``) input takes the bulk path: the whole
-        record array's block keys are copied once into a per-thread scratch
-        arena and inserted with a single
-        :class:`~repro.core.bloom.BloomBulkAdder` chunk (instead of one
-        chunk -- and one fresh key-list allocation -- per leaf), sortedness
-        is validated with one C sweep instead of a per-record compare, and
-        records are handed to :meth:`_flush_leaf` one whole leaf at a time,
-        where each leaf body is a single flat ``struct`` pack spliced into
-        the page buffer.  The flush path always hands this method the
-        already-sorted per-partition record slice, so it -- not the
-        per-record fallback -- is what runs on the least-loaded flush
-        worker (the ``bloom_bulk_build`` benchmark section tracks the
-        Bloom half of the win).  Both the adder and the leaf packer are
-        chunk-invariant, so the run file is byte-identical to the streaming
-        ``begin``/``add``/``finish`` route.
+        A materialised (``Sequence``) input takes the bulk path: its length
+        bounds the Bloom filter, so the filter is created at its final size
+        instead of at ``bloom_bits`` (see :meth:`begin`); the whole record
+        array's block keys are copied once into a per-thread scratch arena
+        and inserted with a single :class:`~repro.core.bloom.BloomBulkAdder`
+        chunk (instead of one chunk -- and one fresh key-list allocation --
+        per leaf); sortedness is validated with one C sweep instead of a
+        per-record compare; and records are handed to :meth:`_flush_leaf`
+        one whole leaf at a time, where each leaf body is a single flat
+        ``struct`` pack spliced into the page buffer.  The flush path always
+        hands this method the already-sorted per-partition record slice, so
+        it -- not the per-record fallback -- is what runs on the
+        least-loaded flush worker.  The adder, the leaf packer and the
+        filter sizing are all chunk-invariant, so the run file is
+        byte-identical to the streaming ``begin``/``add``/``finish`` route.
         """
-        self.begin()
         if isinstance(records, Sequence):
+            self.begin(max_records=len(records))
             if records:
-                arena = _bloom_scratch_arena()
-                arena.extend(map(itemgetter(0), records))
-                self._bloom_adder.add_chunk(arena)
-                self._bloom_prefilled = True
                 self._add_sorted_sequence(records)
-            return self.finish()
-        for record in records:
-            self.add(record)
-        return self.finish()
+        else:
+            self.begin()
+            for record in records:
+                self.add(record)
+        return self.finish(cache, verify_checksums)
 
     def _add_sorted_sequence(self, records: Sequence[AnyRecord]) -> None:
-        """Bulk :meth:`add`: whole leaves at a time, one sortedness sweep."""
+        """Bulk :meth:`add` of a whole run: one sweep, one Bloom chunk, whole leaves."""
         if not all(map(operator.le, records, islice(records, 1, None))):
             raise ValueError("records passed to ReadStoreWriter must be sorted")
-        if self._page_file is None:
-            self._page_file = self.backend.create(self.name)
+        page_file = self._create_file()
+        arena = _bloom_scratch_arena()
+        arena.extend(map(itemgetter(0), records))
+        self._bloom_adder.add_chunk(arena)
+        self._bloom_prefilled = True
         per_page = self.records_per_page
-        page_file = self._page_file
         for start in range(0, len(records), per_page):
             chunk = records[start:start + per_page]
             if len(chunk) == per_page:
-                self._flush_leaf(page_file, chunk, self._leaf_keys, self._bloom)
+                self._flush_leaf(page_file, chunk, self._leaf_keys)
             else:
                 self._buffer.extend(chunk)
         self._num_records += len(records)
@@ -231,11 +232,23 @@ class ReadStoreWriter:
 
     # ------------------------------------------------------- streaming API
 
-    def begin(self) -> None:
-        """Start (or restart) an incremental build."""
+    def begin(self, max_records: Optional[int] = None) -> None:
+        """Start (or restart) an incremental build.
+
+        Nothing is allocated here: the file and the Bloom filter (1 MB for a
+        Combined run) are created by the first record, so a writer that
+        never receives one costs nothing.  ``max_records`` is an upper bound
+        on the records that will follow, for callers that know one; it
+        sizes the filter at build time.  The filter then starts at
+        :func:`~repro.core.bloom.fit_bits` of the most keys those records
+        can insert (a block key and a stride key each) rather than at
+        ``bloom_bits``, which leaves :meth:`finish` little or nothing to
+        fold and changes no byte of the file.
+        """
         self._page_file = None
-        self._bloom = BloomFilter(self.bloom_bits)
-        self._bloom_adder = self._bloom.bulk_adder()
+        self._filter_bits = (self.bloom_bits if max_records is None
+                             else min(self.bloom_bits, fit_bits(2 * max_records)))
+        self._bloom: Optional[BloomFilter] = None
         # True when build() already inserted every block key up front; the
         # per-leaf inserts in _flush_leaf are skipped.
         self._bloom_prefilled = False
@@ -244,6 +257,13 @@ class ReadStoreWriter:
         self._buffer: List[AnyRecord] = []
         self._previous: Optional[AnyRecord] = None
         self._open = True
+
+    def _create_file(self) -> PageFile:
+        """First record: create the run file and its Bloom filter."""
+        self._page_file = self.backend.create(self.name)
+        self._bloom = BloomFilter(self._filter_bits)
+        self._bloom_adder = self._bloom.bulk_adder()
+        return self._page_file
 
     def add(self, record: AnyRecord) -> None:
         """Append one record; records must arrive in sort order."""
@@ -257,11 +277,11 @@ class ReadStoreWriter:
             raise ValueError("records passed to ReadStoreWriter must be sorted")
         self._previous = record
         if self._page_file is None:
-            self._page_file = self.backend.create(self.name)
+            self._create_file()
         self._buffer.append(record)
         self._num_records += 1
         if len(self._buffer) == self.records_per_page:
-            self._flush_leaf(self._page_file, self._buffer, self._leaf_keys, self._bloom)
+            self._flush_leaf(self._page_file, self._buffer, self._leaf_keys)
             self._buffer = []
 
     @property
@@ -269,10 +289,16 @@ class ReadStoreWriter:
         """Records accepted so far in the current incremental build."""
         return self._num_records if self._open else 0
 
-    def finish(self) -> Optional["ReadStoreReader"]:
+    def finish(self, cache: Optional[PageCache] = None,
+               verify_checksums: bool = True) -> Optional["ReadStoreReader"]:
         """Write the index, Bloom and header pages; return a reader.
 
         Returns ``None`` (and creates no file) when no record was added.
+        The returned reader is the run's one open: it is constructed with
+        ``cache`` and ``verify_checksums`` (and the filter just built, so
+        nothing is reloaded), which is why the catalogue passes its shared
+        :class:`~repro.fsim.cache.PageCache` here instead of reopening the
+        file afterwards.
         """
         if not self._open:
             raise ValueError("finish() without begin()")
@@ -283,7 +309,7 @@ class ReadStoreWriter:
         bloom = self._bloom
         leaf_keys = self._leaf_keys
         if self._buffer:
-            self._flush_leaf(page_file, self._buffer, leaf_keys, bloom)
+            self._flush_leaf(page_file, self._buffer, leaf_keys)
             self._buffer = []
         # Sorted input means the block bounds are just the ends of the stream.
         min_block = leaf_keys[0][0][0]
@@ -346,13 +372,13 @@ class ReadStoreWriter:
             body = _HEADER_V2_BODY.pack(_MAGIC_V2, *common_fields, bloom_crc)
             header = body + _HEADER_CRC.pack(crc32(body))
         page_file.append_page(header)
-        return ReadStoreReader(self.backend, self.name, bloom=bloom)
+        return ReadStoreReader(self.backend, self.name, cache=cache, bloom=bloom,
+                               verify_checksums=verify_checksums)
 
     # ------------------------------------------------------------ internals
 
     def _flush_leaf(self, page_file: PageFile, records: Sequence[AnyRecord],
-                    leaf_keys: List[Tuple[Tuple[int, int, int, int, int], int]],
-                    bloom: BloomFilter) -> None:
+                    leaf_keys: List[Tuple[Tuple[int, int, int, int, int], int]]) -> None:
         # One bulk Bloom chunk per leaf keeps memory at O(page); the adder
         # carries its duplicate-skipping state across leaves, so this and
         # build()'s single whole-array chunk set exactly the same bits.

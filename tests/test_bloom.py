@@ -2,11 +2,36 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bloom import BloomFilter, COMBINED_FILTER_BITS, DEFAULT_FILTER_BITS
+from repro.core.bloom import (
+    BloomFilter,
+    COMBINED_FILTER_BITS,
+    DEFAULT_FILTER_BITS,
+    FORMAT_V1,
+    FORMAT_V2,
+    fit_bits,
+)
+
+
+def _reference_shrink_to(bloom: BloomFilter, target_bits: int) -> None:
+    """The byte-wise halving ``shrink_to`` replaced; the fold's reference."""
+    while bloom.num_bits > target_bits and bloom.num_bits > 8:
+        half_bytes = len(bloom._bits) // 2
+        lower = bloom._bits[:half_bytes]
+        upper = bloom._bits[half_bytes:]
+        bloom._bits = bytearray(a | b for a, b in zip(lower, upper))
+        bloom.num_bits //= 2
+
+
+def _filled(blocks, num_bits, hash_version):
+    bloom = BloomFilter(num_bits, hash_version=hash_version)
+    bloom.add_many(blocks)
+    return bloom
 
 
 class TestBasics:
@@ -65,6 +90,12 @@ class TestFalsePositiveRate:
         bloom.add_all(range(100))
         assert bloom.fill_ratio() > 0.0
 
+    def test_fill_ratio_counts_every_set_bit(self):
+        bloom = BloomFilter(DEFAULT_FILTER_BITS)
+        bloom.add_all(range(0, 200_000, 97))
+        set_bits = sum(bin(byte).count("1") for byte in bloom._bits)
+        assert bloom.fill_ratio() == set_bits / DEFAULT_FILTER_BITS
+
 
 class TestRange:
     def test_range_query(self):
@@ -98,6 +129,33 @@ class TestShrinking:
         bloom = BloomFilter(1024)
         with pytest.raises(ValueError):
             bloom.shrink_to(0)
+
+    def test_smallest_filter_is_left_alone(self):
+        bloom = BloomFilter(8)
+        bloom.add(3)
+        before = bloom.to_bytes()
+        bloom.shrink_to(1)
+        assert bloom.num_bits == 8 and bloom.to_bytes() == before
+
+    def test_fold_does_not_cost_an_interpreted_step_per_byte(self):
+        """Scale-free guard: shrinking a 1 MB filter to 1 Kbit beats the
+        byte-wise reference by far more than timer noise (~20x; it is 1x by
+        construction if the interpreted loop comes back)."""
+        blocks = range(0, 3_000_000, 1009)
+
+        def fastest(shrink, repetitions):
+            best = float("inf")
+            for _ in range(repetitions):
+                bloom = _filled(blocks, COMBINED_FILTER_BITS, FORMAT_V2)
+                start = time.perf_counter()
+                shrink(bloom, 1024)
+                best = min(best, time.perf_counter() - start)
+            return best, bloom.to_bytes()
+
+        reference_seconds, reference = fastest(_reference_shrink_to, 2)
+        fold_seconds, folded = fastest(BloomFilter.shrink_to, 5)
+        assert folded == reference
+        assert fold_seconds * 5 <= reference_seconds
 
 
 class TestSerialization:
@@ -134,3 +192,44 @@ def test_no_false_negatives_after_halving(blocks):
     bloom.add_all(blocks)
     bloom.shrink_to(2 * 1024)
     assert all(bloom.might_contain(b) for b in blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**48), max_size=120),
+       st.integers(min_value=3, max_value=15),
+       st.sampled_from([FORMAT_V1, FORMAT_V2]))
+def test_fold_matches_reference_halving(blocks, log_bits, hash_version):
+    """Property: ``shrink_to`` is byte-for-byte the reference halving, for
+    both hash versions, empty filters, the 8-bit floor and every
+    power-of-two target -- and membership survives it."""
+    blocks = sorted(blocks)
+    num_bits = 1 << log_bits
+    for target in [1 << shift for shift in range(log_bits, 2, -1)] + [5, 1]:
+        folded = _filled(blocks, num_bits, hash_version)
+        expected = _filled(blocks, num_bits, hash_version)
+        folded.shrink_to(target)
+        _reference_shrink_to(expected, target)
+        assert folded.to_bytes() == expected.to_bytes()
+        assert folded.num_bits == max(8, min(num_bits, 1 << (target.bit_length() - 1)))
+        assert all(folded.might_contain(block) for block in blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=300),
+       st.sampled_from([FORMAT_V1, FORMAT_V2]),
+       st.sampled_from([1024, 4096, DEFAULT_FILTER_BITS]))
+def test_shrink_to_fit_matches_reference_and_build_time_sizing(blocks, hash_version, max_bits):
+    """Property: ``shrink_to_fit`` lands on the reference halving's bytes,
+    and a filter created at ``fit_bits`` of a bound on its keys (what the
+    run writer does) ends bit-identical to one created at the maximum."""
+    blocks = sorted(blocks)
+    fitted = _filled(blocks, max_bits, hash_version)
+    fitted.shrink_to_fit()
+    expected = _filled(blocks, max_bits, hash_version)
+    _reference_shrink_to(
+        expected, fit_bits(max(expected.num_items, expected._keys_inserted)))
+    assert fitted.to_bytes() == expected.to_bytes()
+    presized = _filled(blocks, min(max_bits, fit_bits(2 * len(blocks))), hash_version)
+    presized.shrink_to_fit()
+    assert presized.to_bytes() == expected.to_bytes()
+    assert all(presized.might_contain(block) for block in blocks)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.core.bloom import DEFAULT_FILTER_BITS
 from repro.core.lsm import RunManager, merge_sorted_runs, run_name
 from repro.core.records import FromRecord, ToRecord
 from repro.fsim.blockdev import MemoryBackend
@@ -107,3 +110,29 @@ class TestRunManager:
         assert manager.partitions() == [0, 3]
         assert len(manager.runs_for(0)) == 1
         assert len(manager.runs_for(3)) == 1
+
+    def test_small_run_cost_ignores_the_configured_filter_size(self):
+        """Scale-free guard: a 1-record run built with the default 32 KB
+        ``run_bloom_bits`` costs about what it costs with a 1 Kbit filter
+        (the ratio was ~20 while every run folded a full-size filter down
+        with an interpreted loop)."""
+        manager = RunManager(MemoryBackend(), PageCache(1 << 20))
+
+        def fastest(bloom_bits):
+            best = float("inf")
+            for _ in range(30):
+                name = run_name(0, "from", "L0", manager.next_sequence())
+                start = time.perf_counter()
+                manager.build_run(name, "from", _records([7]), bloom_bits)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert fastest(DEFAULT_FILTER_BITS) < 5 * fastest(1024)
+
+    def test_build_run_opens_the_run_once(self):
+        backend = MemoryBackend()
+        cache = PageCache(1 << 20)
+        reader = RunManager(backend, cache).build_run(
+            run_name(0, "from", "L0", 1), "from", _records(range(10)), 1024 * 8)
+        assert reader.cache is cache
+        assert backend.stats.pages_read == 1 == cache.stats.misses

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bloom import COMBINED_FILTER_BITS, DEFAULT_FILTER_BITS
 from repro.core.read_store import ReadStoreReader, ReadStoreWriter
 from repro.core.records import CombinedRecord, FromRecord, INFINITY, ToRecord
 from repro.fsim.blockdev import MemoryBackend
@@ -17,6 +20,21 @@ def _build(records, table="from", backend=None, name="p000000/from/L0_0000000001
     writer = ReadStoreWriter(backend, name, table)
     reader = writer.build(iter(records))
     return backend, reader
+
+
+def _stream(records, table="from", bloom_bits=DEFAULT_FILTER_BITS, max_records=None):
+    """Build through the streaming ``begin``/``add``/``finish`` interface."""
+    backend = MemoryBackend()
+    writer = ReadStoreWriter(backend, "run", table, bloom_bits=bloom_bits)
+    writer.begin(max_records)
+    for record in records:
+        writer.add(record)
+    return backend, writer.finish()
+
+
+def _pages(backend, name):
+    page_file = backend.open(name)
+    return [page_file.read_page(index) for index in range(page_file.num_pages)]
 
 
 def _from_records(count, stride=1):
@@ -63,6 +81,63 @@ class TestBuild:
         assert reader.min_block == 0
         assert reader.max_block == 999
         assert reader.num_leaf_pages >= 1000 // reader.records_per_page
+
+
+class TestWriterInterfacesAgree:
+    """``build`` and ``begin``/``add``/``finish`` emit the same bytes, however
+    the Bloom filter was sized."""
+
+    @pytest.mark.parametrize("count,stride", [
+        (1, 1),         # one record: the filter starts at its 1 Kbit floor
+        (300, 1),       # dense blocks: few stride keys
+        (300, 1000),    # scattered: stride keys push _keys_inserted to 2x num_items
+        (2000, 64),     # one stride key per block, several leaves
+    ])
+    @pytest.mark.parametrize("bloom_bits", [1000, 4096, DEFAULT_FILTER_BITS])
+    def test_bulk_and_streaming_routes_are_byte_identical(self, count, stride, bloom_bits):
+        records = _from_records(count, stride)
+        bulk_backend = MemoryBackend()
+        bulk = ReadStoreWriter(bulk_backend, "run", "from", bloom_bits=bloom_bits).build(records)
+        unsized_backend, unsized = _stream(records, bloom_bits=bloom_bits)
+        sized_backend, sized = _stream(records, bloom_bits=bloom_bits, max_records=count)
+        assert _pages(bulk_backend, "run") == _pages(unsized_backend, "run")
+        assert _pages(bulk_backend, "run") == _pages(sized_backend, "run")
+        assert bulk.bloom.to_bytes() == unsized.bloom.to_bytes() == sized.bloom.to_bytes()
+        if stride >= 64 and count > 1:
+            assert bulk.bloom._keys_inserted > bulk.bloom.num_items
+
+    def test_no_filter_or_file_before_the_first_record(self):
+        backend = MemoryBackend()
+        writer = ReadStoreWriter(backend, "run", "combined", bloom_bits=COMBINED_FILTER_BITS)
+        writer.begin()
+        assert writer._bloom is None
+        assert writer.finish() is None
+        assert not backend.exists("run")
+
+    def test_finish_opens_the_run_once_through_the_cache(self):
+        backend = MemoryBackend()
+        cache = PageCache(1 << 20)
+        writer = ReadStoreWriter(backend, "run", "from")
+        reader = writer.build(_from_records(10), cache=cache)
+        assert reader.cache is cache
+        assert backend.stats.pages_read == 1  # the header page, via the cache
+        assert cache.stats.misses == 1
+
+    def test_run_files_match_the_previous_release(self):
+        """Golden hashes (SHA-256 over every page) recorded from the commit
+        before the Bloom fold and build-time sizing changed: no format change."""
+        froms = sorted(FromRecord((i * 7919) % 20011, i % 7 + 1, i % 3, i % 2, i % 11 + 1)
+                       for i in range(300))
+        backend = MemoryBackend()
+        ReadStoreWriter(backend, "run", "from").build(froms)
+        assert hashlib.sha256(b"".join(_pages(backend, "run"))).hexdigest() == (
+            "0ba15e3606d010ee21019db71098c50013f64056f54a3d6c968fc0d78f429492")
+        combined = sorted(
+            CombinedRecord((i * 104729) % (1 << 22), i % 5 + 1, i % 4, 0, i % 9 + 1, i % 9 + 3)
+            for i in range(500))
+        backend, _ = _stream(combined, "combined", bloom_bits=COMBINED_FILTER_BITS)
+        assert hashlib.sha256(b"".join(_pages(backend, "run"))).hexdigest() == (
+            "ae337399ee5cf037a86b64896dad534081c6fad9fb94cb6b6c44b5e61a314bf9")
 
 
 class TestIteration:
