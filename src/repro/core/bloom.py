@@ -49,24 +49,44 @@ over hundreds of blocks then probes the filter once per aligned stride
 overlapping the range instead of once per block (``num_hashes`` bit tests
 per probe either way), at the cost of up to a stride's worth of slack at the
 range edges.  Version-1 filters have no stride keys and fall back to
-per-block probing.
+per-block probing.  :func:`range_probe_keys` is that rule as data: the keys a
+range asks about, of which any one present admits the range.
+
+Banks
+-----
+A query over an aged database asks the same question of every run of a
+partition, and a filter per run answers it one interpreted probe at a time.
+:class:`BloomFilterBank` holds the bit arrays of same-shaped filters
+(``hash_version``, ``num_bits``, ``num_hashes``) end to end, so one key's bit
+position is the same in every member and a strided slice
+``joined[position >> 3::nbytes]`` picks that byte out of all of them in one C
+pass.  The key is hashed once (:func:`hash_pair`), and ``num_hashes`` slices,
+each turned into an integer, shifted by ``position & 7`` and AND-ed under a
+``0x01``-per-byte mask, leave one byte per member saying whether it may hold
+the key -- exactly what ``num_hashes`` bit tests on each member would say.
+:meth:`BloomFilter.might_contain` and :meth:`~BloomFilter.might_contain_range`
+remain the per-filter reference the bank is tested against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "BloomFilter",
     "BloomBulkAdder",
+    "BloomFilterBank",
     "DEFAULT_FILTER_BITS",
     "COMBINED_FILTER_BITS",
     "FORMAT_V1",
     "FORMAT_V2",
     "STRIDE_SHIFT",
+    "MAX_RANGE_BLOCKS",
     "fit_bits",
+    "hash_pair",
+    "range_probe_keys",
 ]
 
 #: Default filter size for a From/To run covering one CP (32 KB of bits).
@@ -85,7 +105,7 @@ STRIDE_SHIFT = 6
 #: Ranges wider than this short-circuit to True (the cost of a false
 #: negative-free answer would exceed just reading the run).  Kept at the
 #: paper-era value so run-probing behaviour is unchanged across versions.
-_MAX_RANGE_BLOCKS = 256
+MAX_RANGE_BLOCKS = 256
 
 #: Below this width a range query probes per block: a stride probe carries up
 #: to ``2**STRIDE_SHIFT - 1`` blocks of slack on each edge, which would
@@ -139,6 +159,33 @@ def _md5_pair(key: int) -> Tuple[int, int]:
     """Legacy double-hashing pair derived from one MD5 digest."""
     digest = hashlib.md5(key.to_bytes(8, "little", signed=False)).digest()
     return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little") | 1
+
+
+def hash_pair(key: int, hash_version: int = FORMAT_V2) -> Tuple[int, int]:
+    """The double-hashing pair a filter of ``hash_version`` derives from ``key``.
+
+    The ``i``-th bit a filter of ``num_bits`` bits tests or sets for the key
+    is ``(h1 + i * h2) & (num_bits - 1)``, so the pair depends on the key and
+    the hash scheme only: one pair serves every filter size.
+    """
+    return _hash_pair(key) if hash_version == FORMAT_V2 else _md5_pair(key)
+
+
+def range_probe_keys(first_block: int, num_blocks: int,
+                     hash_version: int = FORMAT_V2) -> Iterable[int]:
+    """The keys a filter is asked about for ``[first_block, first_block + num_blocks)``.
+
+    Any one of them present admits the range.  Version-2 filters answer
+    ranges wider than ``_PER_BLOCK_RANGE_LIMIT`` from the stride key of every
+    aligned stride the range overlaps; narrower ranges, and version-1 filters
+    at any width, are asked about each block.  Only meaningful up to
+    :data:`MAX_RANGE_BLOCKS`: wider ranges are admitted unasked.
+    """
+    if hash_version == FORMAT_V2 and num_blocks > _PER_BLOCK_RANGE_LIMIT:
+        first_stride = first_block >> STRIDE_SHIFT
+        last_stride = (first_block + num_blocks - 1) >> STRIDE_SHIFT
+        return [stride ^ _STRIDE_SEED for stride in range(first_stride, last_stride + 1)]
+    return range(first_block, first_block + num_blocks)
 
 
 class BloomFilter:
@@ -228,20 +275,14 @@ class BloomFilter:
         Version-2 filters answer wide ranges with one probe per aligned
         ``2**STRIDE_SHIFT``-block stride (see the module docstring); narrow
         ranges and legacy filters probe per block.  Ranges wider than
-        ``_MAX_RANGE_BLOCKS`` short-circuit to ``True``.
+        ``MAX_RANGE_BLOCKS`` short-circuit to ``True``.
         """
         if num_blocks <= 0:
             return False
-        if num_blocks > _MAX_RANGE_BLOCKS:
+        if num_blocks > MAX_RANGE_BLOCKS:
             return True
-        if self.hash_version == FORMAT_V2 and num_blocks > _PER_BLOCK_RANGE_LIMIT:
-            first_stride = first_block >> STRIDE_SHIFT
-            last_stride = (first_block + num_blocks - 1) >> STRIDE_SHIFT
-            return any(
-                self._might_contain_stride(stride)
-                for stride in range(first_stride, last_stride + 1)
-            )
-        return any(self.might_contain(first_block + i) for i in range(num_blocks))
+        return any(map(self.might_contain,
+                       range_probe_keys(first_block, num_blocks, self.hash_version)))
 
     # ------------------------------------------------------------- resizing
 
@@ -418,17 +459,78 @@ class BloomFilter:
         self._keys_inserted += keys
         return last, last_stride
 
-    def _might_contain_stride(self, stride: int) -> bool:
-        """Probe the stride key of one aligned ``2**STRIDE_SHIFT`` group."""
-        h1, h2 = _hash_pair(stride ^ _STRIDE_SEED)
-        bits = self._bits
+class BloomFilterBank:
+    """Same-shaped filters laid end to end and probed together.
+
+    Immutable: :meth:`extended` returns a new bank.  Members are addressed by
+    the order they were supplied in; :meth:`probe` answers for all of them at
+    once as an integer with bit ``8 * i`` set iff member ``i`` may contain
+    one of the keys (see the module docstring for how).  The bank copies the
+    members' bits, so filters must be complete before they join one.
+    """
+
+    __slots__ = ("hash_version", "num_bits", "num_hashes", "_joined", "_nbytes", "_ones")
+
+    def __init__(self, filters: Sequence[BloomFilter],
+                 base: Optional["BloomFilterBank"] = None) -> None:
+        shape = self.shape_of(base if base is not None else filters[0])
+        if any(self.shape_of(member) != shape for member in filters):
+            raise ValueError("a BloomFilterBank holds filters of one shape")
+        self.hash_version, self.num_bits, self.num_hashes = shape
+        self._nbytes = self.num_bits // 8
+        parts = [member._bits for member in filters]
+        if base is not None:
+            parts.insert(0, base._joined)
+        self._joined = b"".join(parts)
+        self._ones = int.from_bytes(b"\x01" * len(self), "little")
+
+    @staticmethod
+    def shape_of(bloom_filter) -> Tuple[int, int, int]:
+        """What members of one bank share: ``(hash_version, num_bits, num_hashes)``."""
+        return (bloom_filter.hash_version, bloom_filter.num_bits, bloom_filter.num_hashes)
+
+    def extended(self, filters: Sequence[BloomFilter]) -> "BloomFilterBank":
+        """A bank of this one's members followed by ``filters`` (one concatenation)."""
+        return BloomFilterBank(filters, base=self)
+
+    def __len__(self) -> int:
+        return len(self._joined) // self._nbytes
+
+    @property
+    def size_bytes(self) -> int:
+        """Memory held by the bank's copy of its members' bits."""
+        return len(self._joined)
+
+    def probe(self, pairs: Iterable[Tuple[int, int]]) -> int:
+        """Members that may contain at least one of the hashed keys.
+
+        ``pairs`` are the keys' :func:`hash_pair` s.  Bit ``8 * i`` of the
+        result is set iff, for one of them, every one of member ``i``'s
+        ``num_hashes`` bits is set -- the answer ``any(map(member.
+        might_contain, keys))`` gives.
+        """
+        joined = self._joined
+        nbytes = self._nbytes
         mask = self.num_bits - 1
-        for _ in range(self.num_hashes):
-            position = h1 & mask
-            if not bits[position >> 3] & (1 << (position & 7)):
-                return False
-            h1 += h2
-        return True
+        ones = self._ones
+        hashes = range(self.num_hashes)
+        found = 0
+        for h1, h2 in pairs:
+            hits = ones
+            for _ in hashes:
+                position = h1 & mask
+                # One byte per member; the shift drags each byte's tested bit
+                # down to its bit 0, which is all the 0x01-per-byte mask keeps.
+                hits &= int.from_bytes(joined[position >> 3::nbytes], "little") \
+                    >> (position & 7)
+                if not hits:
+                    break
+                h1 += h2
+            else:
+                found |= hits
+                if found == ones:
+                    break
+        return found
 
 
 class BloomBulkAdder:

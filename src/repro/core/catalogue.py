@@ -24,24 +24,124 @@ under an open cursor mid-stream.
   entirely (new runs, empty stores) or not at all (no runs, full stores) --
   never a state where flushed records are both on disk and in memory.
 
-A snapshot is cheap: one lock acquisition, a shallow copy of the partition
--> runs mapping, and three O(1) freezes (the write stores share their sorted
-snapshot lists, which the live stores replace rather than mutate).  Releasing
-is mandatory -- the query engine releases in the same ``finally`` blocks
-that finalise query statistics -- and idempotent.
+A snapshot is cheap: one lock acquisition, the manager's cached partition ->
+runs mapping with its run-index memo (both shared by every snapshot pinned
+between two catalogue mutations, and only the touched partitions' lists
+copied after one), and three O(1) freezes (the write stores share their
+sorted snapshot lists, which the live stores replace rather than mutate).
+Releasing is mandatory -- the query engine releases in the same ``finally``
+blocks that finalise query statistics -- and idempotent.
+
+**The run index.**  ``runs_for_block_range`` is the prefilter of every
+query, and on an aged database a partition holds a hundred runs of which two
+or three hold the block.  :class:`PartitionRunIndex` answers for a whole
+partition at once: its runs' Bloom filters grouped by shape into
+:class:`~repro.core.bloom.BloomFilterBank` s, a key hashed once per query and
+tested against each bank in ``num_hashes`` C-level passes, the
+``[min_block, max_block]`` fence applied to the survivors only.  An index is
+immutable and belongs to one run list; the first reader to ask about a
+partition builds it (loading any filter recovery left on disk inside that
+query's read tally), later readers of the same catalogue copy find it in the
+shared memo, and the flush path never touches it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.bloom import (
+    MAX_RANGE_BLOCKS,
+    BloomFilterBank,
+    hash_pair,
+    range_probe_keys,
+)
 from repro.core.deletion_vector import DeletionVector
 from repro.core.lsm import RunManager
 from repro.core.read_store import ReadStoreReader
 from repro.core.write_store import FrozenWriteStore, WriteStore
 
-__all__ = ["Catalogue", "CatalogueSnapshot"]
+__all__ = ["Catalogue", "CatalogueSnapshot", "PartitionRunIndex"]
+
+
+class PartitionRunIndex:
+    """Which runs of one partition admit a block range, asked of all at once.
+
+    Built for one run list (:attr:`runs`, in catalogue order) and immutable.
+    The admission rule is the per-run reference's --
+    ``ReadStoreReader.might_contain_range``: the run's block fence, then for
+    ranges of up to :data:`~repro.core.bloom.MAX_RANGE_BLOCKS` blocks any of
+    :func:`~repro.core.bloom.range_probe_keys` present in its filter -- and
+    :meth:`candidates` returns exactly the runs that rule admits, in
+    catalogue order.
+    """
+
+    __slots__ = ("runs", "_position", "_banks")
+
+    def __init__(self, runs: List[ReadStoreReader],
+                 previous: Optional["PartitionRunIndex"] = None) -> None:
+        """Index ``runs``; ``previous`` is an index of an earlier run list.
+
+        When every run ``previous`` covers is still in ``runs`` (consistency
+        points only add runs) its banks are extended by the new runs'
+        filters, one concatenation per shape; otherwise they are regrouped
+        from scratch.  Reading ``run.bloom`` loads a filter recovery left on
+        disk, so the caller's open read tally pays for it.
+        """
+        self.runs = runs
+        self._position = {run: index for index, run in enumerate(runs)}
+        banks: Dict[Tuple[int, int, int], Tuple[BloomFilterBank, List[ReadStoreReader]]] = {}
+        added: Iterable[ReadStoreReader] = runs
+        if previous is not None and all(run in self._position for run in previous.runs):
+            banks = dict(previous._banks)
+            added = [run for run in runs if run not in previous._position]
+        by_shape: Dict[Tuple[int, int, int], List[ReadStoreReader]] = {}
+        for run in added:
+            by_shape.setdefault(BloomFilterBank.shape_of(run.bloom), []).append(run)
+        for shape, members in by_shape.items():
+            filters = [run.bloom for run in members]
+            if shape in banks:
+                bank, earlier = banks[shape]
+                banks[shape] = (bank.extended(filters), earlier + members)
+            else:
+                banks[shape] = (BloomFilterBank(filters), members)
+        self._banks = banks
+
+    @property
+    def size_bytes(self) -> int:
+        """Bytes of filter bits the index holds a second copy of."""
+        return sum(bank.size_bytes for bank, _ in self._banks.values())
+
+    def candidates(self, first_block: int, num_blocks: int) -> List[ReadStoreReader]:
+        """The runs that may hold a block of ``[first_block, first_block + num_blocks)``."""
+        if num_blocks <= 0:
+            return []
+        end_block = first_block + num_blocks
+        if num_blocks > MAX_RANGE_BLOCKS:
+            # Too wide for the filters to be asked: the fence alone decides.
+            return [run for run in self.runs
+                    if end_block > run.min_block and first_block <= run.max_block]
+        admitted: List[ReadStoreReader] = []
+        hashed: Dict[int, List[Tuple[int, int]]] = {}
+        for bank, members in self._banks.values():
+            version = bank.hash_version
+            pairs = hashed.get(version)
+            if pairs is None:
+                pairs = hashed[version] = [
+                    hash_pair(key, version)
+                    for key in range_probe_keys(first_block, num_blocks, version)]
+            hits = bank.probe(pairs)
+            while hits:
+                lowest = hits & -hits
+                hits ^= lowest
+                run = members[lowest.bit_length() >> 3]
+                if end_block > run.min_block and first_block <= run.max_block:
+                    admitted.append(run)
+        if len(admitted) > 1:
+            # Banks interleave in the catalogue, and an extended bank holds
+            # its members in the order they arrived.
+            admitted.sort(key=self._position.__getitem__)
+        return admitted
 
 
 class CatalogueSnapshot:
@@ -50,7 +150,8 @@ class CatalogueSnapshot:
     Everything the query read path consults, fixed at pin time:
 
     * :meth:`runs_for` / :meth:`runs_for_block_range` answer from the copied
-      run lists -- concurrent flushes and compactions are invisible;
+      run lists -- concurrent flushes and compactions are invisible -- the
+      latter through the per-partition :class:`PartitionRunIndex`;
     * :attr:`ws_from` / :attr:`ws_to` are :class:`~repro.core.write_store.
       FrozenWriteStore` views of the in-memory records;
     * :attr:`deletion_vector` keeps the suppressions the snapshot's runs
@@ -61,9 +162,10 @@ class CatalogueSnapshot:
     """
 
     __slots__ = ("version", "ws_from", "ws_to", "deletion_vector",
-                 "_runs", "_manager", "_release_lock")
+                 "_runs", "_index", "_manager", "_release_lock")
 
     def __init__(self, version: int, runs: Dict[int, List[ReadStoreReader]],
+                 index: Dict[int, PartitionRunIndex],
                  ws_from: FrozenWriteStore, ws_to: FrozenWriteStore,
                  deletion_vector: DeletionVector, manager: RunManager) -> None:
         self.version = version
@@ -71,6 +173,12 @@ class CatalogueSnapshot:
         self.ws_to = ws_to
         self.deletion_vector = deletion_vector
         self._runs = runs
+        # The run-index memo shared with every snapshot pinned from the same
+        # copy of the catalogue (RunManager.pin_catalogue).  Filled without a
+        # lock: entries are immutable and checked against this snapshot's own
+        # run list before use, so two readers racing to index one partition
+        # both build a correct entry and the later store wins.
+        self._index = index
         self._manager: Optional[RunManager] = manager
         self._release_lock = threading.Lock()
 
@@ -84,12 +192,22 @@ class CatalogueSnapshot:
 
     def runs_for_block_range(self, partitions: Sequence[int], first_block: int,
                              num_blocks: int) -> List[ReadStoreReader]:
-        """Runs whose Bloom filter (and block bounds) admit the given range."""
+        """Runs whose Bloom filter (and block bounds) admit the given range.
+
+        In partition order and, within a partition, catalogue order.  Each
+        partition answers through its :class:`PartitionRunIndex`, built here
+        on first use -- or rebuilt, when the memo's entry belongs to another
+        run list (a partition this snapshot sees mutated).
+        """
         candidates: List[ReadStoreReader] = []
         for partition in partitions:
-            for run in self._runs.get(partition, ()):
-                if run.might_contain_range(first_block, num_blocks):
-                    candidates.append(run)
+            runs = self._runs.get(partition)
+            if not runs:
+                continue
+            index = self._index.get(partition)
+            if index is None or index.runs is not runs:
+                index = self._index[partition] = PartitionRunIndex(runs, index)
+            candidates.extend(index.candidates(first_block, num_blocks))
         return candidates
 
     def run_names(self) -> List[str]:
@@ -151,9 +269,9 @@ class Catalogue:
     def select(self) -> CatalogueSnapshot:
         """Pin the current database view and return its snapshot."""
         with self._publish_lock:
-            version, runs = self.run_manager.pin_catalogue()
+            version, runs, index = self.run_manager.pin_catalogue()
             return CatalogueSnapshot(
-                version, runs,
+                version, runs, index,
                 self.ws_from.freeze(), self.ws_to.freeze(),
                 self.deletion_vector.freeze(),
                 self.run_manager,

@@ -9,8 +9,11 @@ existing Combined run -- into a single compacted run per partition.
 
 :class:`RunManager` is the catalogue of live runs.  It tracks, for every
 partition, the ordered list of runs per table, keeps their Bloom filters in
-memory, provides merged iteration for compaction, and answers the query
-engine's "which runs might contain this block range?" question.
+memory and provides merged iteration for compaction.  The query engine's
+"which runs might contain this block range?" question is answered from a
+pinned copy of the catalogue (:mod:`repro.core.catalogue`), through a
+per-partition run index whose storage and invalidation live here, beside the
+run lists the pins hand out (:meth:`RunManager.pin_catalogue`).
 """
 
 from __future__ import annotations
@@ -150,12 +153,18 @@ class RunManager:
         self._pins: Dict[int, int] = {}
         # Files awaiting deletion: (retire_version, name, size_bytes).
         self._deferred: List[Tuple[int, str, int]] = []
-        # Cached {partition: [runs...]} copy handed to pins.  Invalidated by
-        # every catalogue mutation and rebuilt -- as a *fresh* dict of fresh
-        # lists, never mutated in place -- on the next pin, so a hot query
-        # path pays one dict lookup per pin instead of one copy of the whole
-        # catalogue (the narrow-query constant factor depends on this).
-        self._pinned_runs_cache: Optional[Dict[int, List[ReadStoreReader]]] = None
+        # Cached {partition: [runs...]} copy handed to pins, and beside it
+        # the {partition: run index} memo the pinned snapshots fill in (see
+        # pin_catalogue).  A catalogue mutation only records its partition
+        # in _stale_partitions; the next pin replaces both dicts with fresh
+        # ones -- never mutated in place, so earlier pins keep theirs -- that
+        # share every untouched partition's list and copy only the stale
+        # ones.  A hot query path therefore pays one set test per pin, and
+        # the first pin after a consistency point one list per touched
+        # partition, not a copy of the whole catalogue.
+        self._pinned_runs_cache: Dict[int, List[ReadStoreReader]] = {}
+        self._pinned_index_cache: Dict[int, object] = {}
+        self._stale_partitions: Set[int] = set()
 
     # --------------------------------------------------------------- writing
 
@@ -217,30 +226,65 @@ class RunManager:
     def add_run(self, partition: int, table: str, reader: ReadStoreReader) -> None:
         if table not in TABLES:
             raise ValueError(f"unknown table {table!r}")
+        reader.partition = partition
         with self._lock:
             self._partitions.setdefault(partition, _PartitionRuns()).runs[table].append(reader)
-            self._pinned_runs_cache = None
+            self._stale_partitions.add(partition)
 
     # ----------------------------------------------- pinning / reclamation
 
-    def pin_catalogue(self) -> Tuple[int, Dict[int, List[ReadStoreReader]]]:
+    def pin_catalogue(self) -> Tuple[int, Dict[int, List[ReadStoreReader]],
+                                     Dict[int, object]]:
         """Pin the current catalogue version and copy out its run lists.
 
-        Returns ``(version, {partition: [runs...]})``; the mapping is a
-        fresh copy, immune to subsequent catalogue mutation.  Every pin must
-        be paired with exactly one :meth:`release_version` -- callers go
-        through :class:`repro.core.catalogue.CatalogueSnapshot`, whose
-        ``release`` enforces the pairing.  While the pin is outstanding, no
-        file in the copied lists is ever deleted (retirements are deferred).
+        Returns ``(version, {partition: [runs...]}, {partition: index})``;
+        the run mapping is a copy immune to subsequent catalogue mutation.
+        Every pin must be paired with exactly one :meth:`release_version` --
+        callers go through :class:`repro.core.catalogue.CatalogueSnapshot`,
+        whose ``release`` enforces the pairing.  While the pin is
+        outstanding, no file in the copied lists is ever deleted
+        (retirements are deferred).
+
+        The third element is the run-index memo of this copy of the
+        catalogue: a dict every snapshot pinned from the same copy shares and
+        fills in, one entry per partition, the first time a query asks that
+        partition which runs admit a block range.  The manager only stores
+        it -- nothing on the flush or maintenance path builds or reads an
+        entry.  Each entry remembers the run list it was built for, and a
+        snapshot serves it only for that very list object; a mutation gives
+        its partition a new list (and the snapshots pinned afterwards a new
+        memo dict seeded with the old entries), so an entry of an untouched
+        partition carries over as it is, one of a touched partition is
+        rebuilt -- or extended, when runs were only added -- by the next
+        reader, and a snapshot pinned earlier keeps the memo it was given.
         """
         with self._lock:
             version = self._version
             self._pins[version] = self._pins.get(version, 0) + 1
-            runs = self._pinned_runs_cache
-            if runs is None:
-                runs = {p: entry.all_runs() for p, entry in self._partitions.items()}
+            if self._stale_partitions:
+                runs = dict(self._pinned_runs_cache)
+                for partition in self._stale_partitions:
+                    runs[partition] = self._partitions[partition].all_runs()
                 self._pinned_runs_cache = runs
-            return version, runs
+                self._pinned_index_cache = dict(self._pinned_index_cache)
+                self._stale_partitions = set()
+            return version, self._pinned_runs_cache, self._pinned_index_cache
+
+    def _retire_pinned_locked(self, partition: int) -> None:
+        """Invalidate the pinned copies of a partition that lost runs.
+
+        An index over retired runs cannot be extended into the new one, and
+        left in the memo it would keep their readers and a copy of their
+        filter bits alive until the partition is next queried -- so later
+        pins start without it (earlier pins keep the dict they were given).
+        """
+        self._stale_partitions.add(partition)
+        if partition in self._pinned_index_cache:
+            # dict() copies in one step; readers may be adding entries to the
+            # shared memo right now, so it must not be iterated from Python.
+            memo = dict(self._pinned_index_cache)
+            del memo[partition]
+            self._pinned_index_cache = memo
 
     def acquire_version(self, version: int) -> None:
         """Add a pin to an *already pinned* catalogue version.
@@ -367,10 +411,12 @@ class RunManager:
             if table not in TABLES:
                 raise ValueError(f"unknown table {table!r}")
             replacement.runs[table] = list(runs)
+            for run in runs:
+                run.partition = partition
         with self._lock:
             old = self._partitions.get(partition, _PartitionRuns())
             self._partitions[partition] = replacement
-            self._pinned_runs_cache = None
+            self._retire_pinned_locked(partition)
             old_runs = old.all_runs()
             retired = [run.name for run in old_runs]
             if old_runs:
@@ -405,7 +451,7 @@ class RunManager:
         """
         found = False
         with self._lock:
-            for entry in self._partitions.values():
+            for partition, entry in self._partitions.items():
                 for runs in entry.runs.values():
                     for index, run in enumerate(runs):
                         if run.name == name:
@@ -417,7 +463,7 @@ class RunManager:
                 if found:
                     break
             if found:
-                self._pinned_runs_cache = None
+                self._retire_pinned_locked(partition)
                 self.quarantined.append(name)
                 self._quarantined_sizes[name] = run.size_bytes
                 # Publish a new catalogue version: snapshots pinned from here
@@ -444,16 +490,6 @@ class RunManager:
             if table is None:
                 return entry.all_runs()
             return list(entry.runs[table])
-
-    def runs_for_block_range(self, partitions: Sequence[int], first_block: int,
-                             num_blocks: int) -> List[ReadStoreReader]:
-        """Runs whose Bloom filter (and block bounds) admit the given range."""
-        candidates: List[ReadStoreReader] = []
-        for partition in partitions:
-            for run in self.runs_for(partition):
-                if run.might_contain_range(first_block, num_blocks):
-                    candidates.append(run)
-        return candidates
 
     def run_count(self, table: Optional[str] = None) -> int:
         return sum(len(self.runs_for(p, table)) for p in self.partitions())
@@ -482,8 +518,17 @@ class RunManager:
         return sum(run.num_records for p in self.partitions() for run in self.runs_for(p, table))
 
     def bloom_memory_bytes(self) -> int:
-        """Memory consumed by the in-memory Bloom filters of all runs."""
-        return sum(run.bloom.size_bytes for p in self.partitions() for run in self.runs_for(p))
+        """Memory consumed by the in-memory Bloom filters of all runs.
+
+        Counts each catalogued run's own filter and, for every partition
+        queries have indexed, the second copy of the filter bits its run
+        index holds (a snapshot pinned before a later mutation may keep an
+        older index alive besides; that is transient and not counted).
+        """
+        with self._lock:
+            indexes = list(self._pinned_index_cache.values())
+        return (sum(run.bloom.size_bytes for p in self.partitions() for run in self.runs_for(p))
+                + sum(index.size_bytes for index in indexes))
 
     # ------------------------------------------------------------- iteration
 

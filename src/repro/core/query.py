@@ -4,7 +4,10 @@ Queries answer "which objects reference physical block(s) b .. b+n-1, and in
 which snapshot versions?".  The engine (§5.1, §4.2):
 
 1. identifies the partitions covering the requested block range and, within
-   them, the read-store runs whose Bloom filters admit the range;
+   them, the read-store runs whose Bloom filters admit the range -- one probe
+   of each partition's run index in the pinned snapshot
+   (:meth:`~repro.core.catalogue.CatalogueSnapshot.runs_for_block_range`),
+   not one probe per run;
 2. gathers matching records from those runs and from the in-memory write
    stores;
 3. filters out tuples suppressed by the deletion vector;
@@ -56,7 +59,14 @@ owners with the spec's filters pushed into the pipeline stages --
   materialised list;
 * the **limit** and terminal helpers such as ``.first()`` ride the chain's
   laziness: abandoning the generator stops the gather step mid-run, so an
-  early exit reads only the pages behind the results actually emitted;
+  early exit reads only the pages behind the results actually emitted -- and
+  over an aged partition opens only the runs behind them: a window too wide
+  for the Bloom filters (more than 256 blocks) whose first partition holds
+  more than :data:`HEAD_WINDOW_MIN_RUNS` candidate runs is entered through
+  **head windows** of 1, 2, 4, ... 256 blocks, each prefiltered through the
+  run index and piped on its own, before the remainder is gathered whole
+  (:meth:`QueryEngine._head_window_owners`, which also says why the owner
+  stream is unchanged);
 * a **resume token** re-enters the key-ordered pipeline at the interrupted
   reference group (``start_key`` pushdown into the per-run page iterators),
   never re-reading partitions or leaves before it.
@@ -94,6 +104,7 @@ from collections import OrderedDict, defaultdict, deque
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.bloom import MAX_RANGE_BLOCKS
 from repro.core.catalogue import Catalogue, CatalogueSnapshot
 from repro.core.columnar import (
     fold_rows_for_query,
@@ -106,7 +117,7 @@ from repro.core.deletion_vector import DeletionVector
 from repro.core.executor import PartitionExecutor
 from repro.core.inheritance import CloneGraph, materialized_expand
 from repro.core.join import materialized_join
-from repro.core.lsm import RunManager, parse_run_name
+from repro.core.lsm import RunManager
 from repro.core.masking import VersionAuthority, mask_records
 from repro.core.partitioning import Partitioner
 from repro.core.read_store import RECORD_KINDS, CorruptPageError, ReadStoreReader
@@ -136,6 +147,19 @@ COMBINED_KIND = RECORD_KINDS["combined"]
 #: keeps the narrow arm to the queries it exists for while capping its
 #: transient memory at a few leaf pages per run.
 NARROW_QUERY_MAX_BLOCKS = 1024
+
+#: Most candidate runs of one partition the cursor chain opens up front for a
+#: window the Bloom filters cannot narrow; past it the window is entered
+#: through head windows (:meth:`QueryEngine._head_window_owners`).  The value
+#: is where the two costs meet, measured on the aged benchmark database
+#: (``bench`` workload ``query_aged``): opening a run -- a seek and a leaf
+#: decode -- costs ~19 us, and a head window that finds nothing -- a run-index
+#: probe and an empty pipeline -- ~34 us, so all nine together cost what
+#: opening 16 runs costs.  Up to 16 runs, opening them is never dearer than
+#: the head windows could turn out; beyond, head windows lose at most that
+#: much when the first owner lies past them, and otherwise save every run
+#: that does not hold the first few blocks.
+HEAD_WINDOW_MIN_RUNS = 16
 
 
 class QueryEngine:
@@ -232,9 +256,12 @@ class QueryEngine:
                 # scan.  Both arms materialise their result list before the
                 # release below.
                 with self.catalogue.select() as snapshot:
-                    candidate_runs = self._candidate_runs(snapshot, first_block,
-                                                          num_blocks)
                     try:
+                        # Inside the retry: the prefilter's run index loads
+                        # the filters recovery left on disk, and a damaged
+                        # filter page quarantines its run like any other.
+                        candidate_runs = self._candidate_runs(snapshot, first_block,
+                                                              num_blocks)
                         if self._dispatch_narrow(candidate_runs, num_blocks,
                                                  count=count_dispatch):
                             results = self._query_materialized(
@@ -361,7 +388,7 @@ class QueryEngine:
                     if refs is None:
                         if snapshot is None:
                             snapshot = self.catalogue.select()
-                        candidate_runs = self._candidate_runs(
+                        candidate_runs, skipped = self._prefilter(
                             snapshot, first_block, num_blocks)
                         if self._dispatch_narrow(candidate_runs, num_blocks,
                                                  count=count_dispatch):
@@ -371,10 +398,15 @@ class QueryEngine:
                             # spec's filters apply per owner below.  ``iter``
                             # keeps the loop's position in ``refs`` itself so
                             # a full page can be parked.
+                            self._count_probed(candidate_runs, skipped)
                             refs = iter(self._query_materialized(
                                 snapshot, candidate_runs, first_block, num_blocks
                             ))
+                        elif self._wants_head_windows(candidate_runs, num_blocks):
+                            refs = self._head_window_owners(
+                                snapshot, first_block, num_blocks, start_key, spec)
                         else:
+                            self._count_probed(candidate_runs, skipped)
                             refs = self._cursor_owners(
                                 snapshot, candidate_runs, first_block, num_blocks,
                                 start_key, spec
@@ -486,6 +518,62 @@ class QueryEngine:
         joined = join_rows_for_query(frows, trows, crows, inode_filter=spec.inodes)
         return fold_rows_for_query(joined, self.clone_graph, self.authority,
                                    line_filter=spec.lines)
+
+    def _wants_head_windows(self, candidate_runs: List[ReadStoreReader],
+                            num_blocks: int) -> bool:
+        """True when opening the window whole would seek a partition's worth of runs.
+
+        That is: the window is wider than the Bloom filters answer for, so
+        ``candidate_runs`` is every run whose fence overlaps it, and the
+        first partition it reaches -- the one the chain opens before it can
+        emit anything -- contributes more than :data:`HEAD_WINDOW_MIN_RUNS`
+        of them.
+        """
+        if num_blocks <= MAX_RANGE_BLOCKS or len(candidate_runs) <= HEAD_WINDOW_MIN_RUNS \
+                or not self.config.use_bloom_filters:
+            return False
+        return candidate_runs[HEAD_WINDOW_MIN_RUNS].partition == candidate_runs[0].partition
+
+    def _head_window_owners(
+        self,
+        snapshot: CatalogueSnapshot,
+        first_block: int,
+        num_blocks: int,
+        start_key: Optional[Tuple[int, ...]],
+        spec: QuerySpec,
+    ) -> Iterator[Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]]:
+        """:meth:`_cursor_owners` over geometric head windows, then the rest.
+
+        The window is cut at block boundaries into sub-windows of 1, 2, 4,
+        ... :data:`~repro.core.bloom.MAX_RANGE_BLOCKS` blocks from its
+        (resumed) start, each narrow enough for the run index to prefilter,
+        and one remainder gathered as the whole window used to be.  Each
+        piece runs the full pipeline over its own candidate runs, opened
+        only when the consumer reaches it, so an early exit seeks the few
+        runs that hold its first blocks instead of every run of the
+        partition.
+
+        The pieces are disjoint and ascending and every stage keys on the
+        block first -- the join on ``(block, inode, offset, line)``, clone
+        expansion and the owner fold on the ``(block, inode, offset)``
+        group -- so their owner streams concatenate to exactly the whole
+        window's: same owners, same order, hence the same resume tokens,
+        parked pipelines and corruption re-entry.  ``start_key`` lies in the
+        first block, so only the first piece seeks to it.  Run statistics
+        count each piece's prefilter as it is opened.
+        """
+        end_block = first_block + num_blocks
+        width = 1
+        while first_block < end_block:
+            if width > MAX_RANGE_BLOCKS:
+                width = end_block - first_block
+            width = min(width, end_block - first_block)
+            yield from self._cursor_owners(
+                snapshot, self._candidate_runs(snapshot, first_block, width),
+                first_block, width, start_key, spec)
+            start_key = None
+            first_block += width
+            width *= 2
 
     # ------------------------------------------- cursor resume cache
 
@@ -619,19 +707,26 @@ class QueryEngine:
             return True
         return False
 
+    def _prefilter(self, snapshot: CatalogueSnapshot, first_block: int,
+                   num_blocks: int) -> Tuple[List[ReadStoreReader], int]:
+        """Step 1: the runs whose Bloom filters admit the range, and how many do not."""
+        partitions = self.partitioner.partitions_for_range(first_block, num_blocks)
+        if not self.config.use_bloom_filters:
+            return [run for p in partitions for run in snapshot.runs_for(p)], 0
+        candidate_runs = snapshot.runs_for_block_range(partitions, first_block, num_blocks)
+        total_runs = sum(len(snapshot.runs_for(p)) for p in partitions)
+        return candidate_runs, total_runs - len(candidate_runs)
+
+    def _count_probed(self, candidate_runs: List[ReadStoreReader], skipped: int) -> None:
+        """Charge a prefilter whose candidate runs are about to be read."""
+        self.stats.runs_skipped_by_bloom += skipped
+        self.stats.runs_probed += len(candidate_runs)
+
     def _candidate_runs(self, snapshot: CatalogueSnapshot, first_block: int,
                         num_blocks: int) -> List[ReadStoreReader]:
-        """The runs whose Bloom filters admit the block range (step 1)."""
-        partitions = self.partitioner.partitions_for_range(first_block, num_blocks)
-        if self.config.use_bloom_filters:
-            candidate_runs = snapshot.runs_for_block_range(
-                partitions, first_block, num_blocks
-            )
-            total_runs = sum(len(snapshot.runs_for(p)) for p in partitions)
-            self.stats.runs_skipped_by_bloom += total_runs - len(candidate_runs)
-        else:
-            candidate_runs = [run for p in partitions for run in snapshot.runs_for(p)]
-        self.stats.runs_probed += len(candidate_runs)
+        """:meth:`_prefilter`, charged to the query statistics."""
+        candidate_runs, skipped = self._prefilter(snapshot, first_block, num_blocks)
+        self._count_probed(candidate_runs, skipped)
         return candidate_runs
 
     # ------------------------------------------------------------ wide arm
@@ -660,14 +755,14 @@ class QueryEngine:
         """
         # Dispatch on the numeric record kind: the ``table`` property does a
         # name lookup per call, which adds up over many candidate runs.
-        # Candidate runs arrive partition-ordered (the run manager walks the
-        # ascending partition list), so grouping is a linear scan.
+        # Candidate runs arrive partition-ordered (the snapshot walks the
+        # ascending partition list) and carry the partition the catalogue
+        # stamped on them, so grouping is a linear scan.
         sources: Dict[int, List[List[ReadStoreReader]]] = \
             {FROM_KIND: [], TO_KIND: [], COMBINED_KIND: []}
         last_partition: Optional[int] = None
         for run in candidate_runs:
-            parsed = parse_run_name(run.name)
-            partition = parsed[0] if parsed is not None else None
+            partition = run.partition
             if partition != last_partition or not sources[run.record_kind]:
                 for buckets in sources.values():
                     buckets.append([])

@@ -431,6 +431,10 @@ class ReadStoreReader:
         self.cache = cache
         self._page_file = backend.open(name)
         self._bloom = bloom
+        #: The partition the run is catalogued under, stamped by
+        #: ``RunManager.add_run`` / ``replace_partition`` so the query path
+        #: groups candidate runs without parsing their names.
+        self.partition: Optional[int] = None
         if self._page_file.num_pages == 0:
             # An empty file cannot even hold a header: it is the remnant of a
             # writer that crashed before its first leaf page reached disk.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import threading
 import time
 
@@ -34,6 +35,8 @@ from repro import (
     SnapshotManagerAuthority,
 )
 from repro.baselines.brute_force import BruteForceQuerier
+
+from test_run_index import reference_walk
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "20100223"))
 
@@ -355,6 +358,100 @@ class TestConcurrentReaderStress:
             for run in backlog.run_manager.runs_for(partition)}
         for name in backlog.run_manager.quarantined:
             assert name not in catalogued
+
+
+class TestRunIndexRace:
+    """Readers build the run index lazily; the writer keeps republishing it.
+
+    Unlike the stress test above, every checkpoint here adds runs to the very
+    partitions the readers query, so each pin after a CP sees new run lists
+    and some reader -- whichever gets there first, possibly several at once
+    -- extends the partition's index while ``checkpoint()`` and
+    ``maintain()`` carry on.  A stale or half-built index would surface as a
+    candidate list that differs from the per-run reference walk over the
+    same pinned snapshot, or as a wrong answer.
+    """
+
+    def test_readers_race_the_lazy_build_against_checkpoint_and_maintain(self, tmp_path):
+        backlog = Backlog(backend=DiskBackend(str(tmp_path / "runs")),
+                          config=BacklogConfig(partition_size_blocks=256))
+        blocks = 1024
+        static = range(0, blocks, 2)            # churn lands on the odd blocks
+        for round_index in range(8):
+            for block in static[round_index::8]:
+                backlog.add_reference(block=block, inode=1 + block % 31, offset=block)
+            backlog.checkpoint()
+        static_inodes = frozenset(range(1, 32))
+        partitions = list(range(blocks // 256))
+
+        stop = threading.Event()
+        errors = []
+        checked = [0]
+
+        def guarded(fn, seed):
+            def runner():
+                rng = random.Random(CHAOS_SEED + seed)
+                try:
+                    while not stop.is_set():
+                        fn(rng)
+                        checked[0] += 1
+                except Exception as exc:  # pragma: no cover - regression
+                    errors.append(exc)
+                    stop.set()
+            return runner
+
+        def prefilter_reader(rng):
+            with backlog.catalogue.select() as snapshot:
+                for _ in range(8):
+                    first = rng.randrange(blocks)
+                    width = rng.choice([1, 1, rng.randrange(2, 17),
+                                        rng.randrange(17, 257), rng.randrange(257, 2048)])
+                    assert snapshot.runs_for_block_range(partitions, first, width) \
+                        == reference_walk(snapshot, partitions, first, width)
+
+        def point_reader(rng):
+            block = 2 * rng.randrange(blocks // 2)
+            owners = {(r.inode, r.offset) for r in backlog.query(block) if r.inode != 997}
+            assert owners == {(1 + block % 31, block)}
+
+        def first_reader(rng):
+            block = 2 * rng.randrange(blocks // 2)
+            ref = backlog.select(QuerySpec(block, 4096, inodes=static_inodes)).first()
+            assert (ref.block, ref.inode, ref.offset) == (block, 1 + block % 31, block)
+
+        def range_reader(rng):
+            first = rng.randrange(blocks - 64)
+            refs = backlog.select(QuerySpec(first, 64, inodes=static_inodes)).all()
+            assert [r.block for r in refs] == [b for b in range(first, first + 64) if b % 2 == 0]
+
+        readers = [threading.Thread(target=guarded(fn, seed))
+                   for seed, fn in enumerate((prefilter_reader, prefilter_reader, point_reader,
+                                              point_reader, first_reader, range_reader))]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        rng = random.Random(CHAOS_SEED + 99)
+        try:
+            for thread in readers:
+                thread.start()
+            for round_index in range(40):
+                if errors:
+                    break
+                for i in range(24):
+                    backlog.add_reference(block=1 + 2 * rng.randrange(blocks // 2),
+                                          inode=997, offset=round_index * 24 + i)
+                backlog.checkpoint()
+                if round_index % 6 == 5:
+                    backlog.maintain()
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(switch_interval)
+
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in readers)
+        assert checked[0] > len(readers)
+        assert backlog.catalogue.pinned_snapshots() == 0
 
 
 # ------------------------------------------------- backend differential

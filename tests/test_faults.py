@@ -22,11 +22,13 @@ from repro import (
     FileSystem,
     FileSystemConfig,
     MemoryBackend,
+    QuerySpec,
     RetryPolicy,
     ScrubReport,
     SnapshotManagerAuthority,
     TornWriteError,
     TransientIOError,
+    recover_backlog,
     scrub_backend,
 )
 from repro.core.executor import PartitionExecutor
@@ -370,6 +372,33 @@ def test_query_quarantines_corrupt_run_and_degrades():
     assert backlog.stats.query.runs_quarantined == 1
     assert victim.name in backlog.run_manager.quarantined
     assert backend.exists(victim.name)  # quarantine keeps the file on disk
+
+
+@pytest.mark.parametrize("surface", ["list", "cursor"])
+def test_corrupt_filter_page_met_by_the_index_build_quarantines_its_run(surface):
+    """Recovery leaves filters on disk; the first query of a partition loads
+    them all to build its run index, so a damaged filter page of *any* of its
+    runs must degrade that query, not fail it."""
+    fs, backlog, backend = build_faulty_system(FaultPlan())
+    for _ in range(4):
+        fs.create_file(num_blocks=8)
+        fs.take_consistency_point()
+    baseline = backlog.query_range(0, 4096)
+    recovered = recover_backlog(backend, config=backlog.config)
+    partition = recovered.run_manager.partitions()[0]
+    victim = recovered.run_manager.runs_for(partition, "from")[-1]
+    assert victim._bloom is None
+    backend.corrupt_page(victim.name, victim.bloom_first_page, bit=77)
+    recovered.clear_caches()
+
+    block = baseline[0].block       # held by the first run, not the victim
+    if surface == "list":
+        degraded = recovered.query_range(block, 1)
+    else:
+        degraded = recovered.select(QuerySpec(block, 1)).all()
+    assert {ref[:4] for ref in degraded} == {ref[:4] for ref in baseline if ref.block == block}
+    assert recovered.stats.query.runs_quarantined == 1
+    assert recovered.run_manager.quarantined == [victim.name]
 
 
 def test_verify_checksums_off_skips_decode_verification():

@@ -12,6 +12,8 @@ from repro.core.records import FromRecord, ToRecord
 from repro.fsim.blockdev import MemoryBackend
 from repro.fsim.cache import PageCache
 
+from test_run_index import _catalogue
+
 
 def _records(blocks, cp=1):
     return [FromRecord(block, 1, 0, 0, cp) for block in sorted(blocks)]
@@ -63,13 +65,14 @@ class TestRunManager:
 
     def test_runs_for_block_range_uses_bloom(self):
         manager = RunManager(MemoryBackend())
-        manager.write_run(0, "from", "L0", _records(range(0, 100)), 1024 * 8)
-        manager.write_run(0, "from", "L0", _records(range(5_000, 5_100)), 1024 * 8)
-        candidates = manager.runs_for_block_range([0], 10, 5)
-        assert len(candidates) == 1
-        candidates = manager.runs_for_block_range([0], 5_050, 5)
-        assert len(candidates) == 1
-        assert manager.runs_for_block_range([0], 200_000, 5) == []
+        low = manager.write_run(0, "from", "L0", _records(range(0, 100)), 1024 * 8)
+        high = manager.write_run(0, "from", "L0", _records(range(5_000, 5_100)), 1024 * 8)
+        with _catalogue(manager).select() as snapshot:
+            assert snapshot.runs_for_block_range([0], 10, 5) == [low]
+            assert snapshot.runs_for_block_range([0], 5_050, 5) == [high]
+            assert snapshot.runs_for_block_range([0], 200_000, 5) == []
+            assert snapshot.runs_for_block_range([0], 0, 6_000) == [low, high]
+            assert snapshot.runs_for_block_range([1], 10, 5) == []
 
     def test_iter_table_merges_runs(self):
         manager = RunManager(MemoryBackend())
