@@ -33,9 +33,7 @@ The baselines:
   against the batched single-descriptor write path on real files;
 * a single-shard process cluster measured against 3 shard processes on
   Zipf-skewed, CPU-bound deep clone-chain point queries -- aggregate
-  client queries/sec, identical answers asserted inline;
-* the v1 pickled-NamedTuple QUERY_PAGE reply wire, measured against the
-  packed v2 frame codec with identical decoded results asserted inline.
+  client queries/sec, identical answers asserted inline.
 
 Run with::
 
@@ -71,9 +69,7 @@ from repro.core.join import materialized_join
 from repro.core.lsm import merge_sorted_runs
 from repro.core.read_store import ReadStoreWriter, _PAGE_HEADER
 from repro.core.records import (
-    BackReference,
     FromRecord,
-    INFINITY,
     ToRecord,
     pack_key_prefix,
     records_to_rows,
@@ -115,10 +111,6 @@ TARGETS = {
     # verification must retain >= 0.91x of the unchecksummed v1 decode
     # throughput (i.e. verification may cost at most ~1.1x).
     "checksum": 0.91,
-    # PR 7: snapshot-isolated concurrent sessions -- paginating sessions
-    # racing a churn/maintenance thread must retain >= 0.8x of their
-    # quiescent throughput (pages/s), with byte-identical answers.
-    "serve_concurrent": 0.8,
     # PR 8: the read-side partition fan-out -- a whole-device query over a
     # (throttled) disk-image backend must be >= 1.5x faster with 4 query
     # workers than serial, with byte-identical answers and exact page
@@ -131,12 +123,9 @@ TARGETS = {
     # with 3 shard processes vs a single-shard cluster, identical answers
     # asserted inline.
     "shard_scale": 1.5,
-    # PR 10: the columnar row pipeline.  The packed v2 QUERY_PAGE codec must
-    # beat the v1 materialise-and-pickle wire by >= 3.0x with identical
-    # decoded results; and the narrow-range row join must hold at least
-    # parity with the materialised join so the size dispatch is a fallback
-    # rather than a necessity.
-    "cluster_page_codec": 3.0,
+    # PR 10: the columnar row pipeline.  The narrow-range row join must hold
+    # at least parity with the materialised join so the size dispatch is a
+    # fallback rather than a necessity.
     "join_narrow": 1.0,
 }
 
@@ -778,136 +767,6 @@ def bench_flush_parallel(num_cps: int, refs_per_cp: int, workers: int) -> dict:
     return entry
 
 
-# ----------------------------------------------------------- concurrent serve
-
-def _drive_sessions(backlog, num_sessions: int, num_blocks: int,
-                    page_limit: int) -> Tuple[float, int, int]:
-    """``num_sessions`` threads each paginate the whole block range.
-
-    Every session is the query service's request loop without the HTTP
-    framing: a fresh :class:`QuerySpec` per page, resumed by token -- so
-    each page pins and releases its own catalogue snapshot, exactly like a
-    ``POST /query`` handler.  Returns ``(seconds, pages, owners)`` summed
-    over all sessions.
-    """
-    import threading
-
-    pages = [0] * num_sessions
-    owners = [0] * num_sessions
-    errors: List[BaseException] = []
-
-    def session(worker: int) -> None:
-        try:
-            token = None
-            while True:
-                page = backlog.select(QuerySpec(
-                    first_block=0, num_blocks=num_blocks,
-                    limit=page_limit, resume_token=token))
-                owners[worker] += sum(1 for _ in page)
-                pages[worker] += 1
-                if page.exhausted:
-                    return
-                token = page.resume_token
-        except BaseException as exc:  # pragma: no cover - bench guard
-            errors.append(exc)
-
-    threads = [threading.Thread(target=session, args=(worker,))
-               for worker in range(num_sessions)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise AssertionError(f"session failed: {errors[0]!r}") from errors[0]
-    return elapsed, sum(pages), sum(owners)
-
-
-def bench_serve_concurrent(num_cps: int, refs_per_cp: int,
-                           num_sessions: int) -> dict:
-    """Concurrent query sessions under churn vs. the same sessions quiescent.
-
-    One operation = one served page (one pin/query/release cycle).
-    ``legacy`` is the baseline: ``num_sessions`` paginating sessions over an
-    idle database.  ``new`` re-runs the identical sessions while a churn
-    thread checkpoints fresh writes and periodically runs ``maintain()`` --
-    retiring run files behind the sessions' catalogue pins.  Both phases run
-    over a :class:`ThrottledBackend` so page reads cost (GIL-releasing)
-    simulated device time, the regime in which snapshot-isolated readers
-    actually overlap.
-
-    Churn is confined to blocks above the scanned range, so both phases do
-    byte-identical session work -- asserted via the owner count -- and the
-    "speedup" is purely the throughput retained under maintenance.  The
-    ``--check`` target of 0.8 is the issue's acceptance bar: concurrent
-    queries/sec must stay within 20% of quiescent.
-    """
-    import threading
-
-    device_blocks, churn_base = 1 << 16, 1 << 22
-    time_scale = 8.0
-    rng = random.Random(4242)
-    backend = ThrottledBackend(MemoryBackend(), time_scale=time_scale)
-    backlog = Backlog(backend=backend, config=BacklogConfig(
-        partition_size_blocks=1 << 12,
-        # A tiny cache keeps the scans on the (throttled) device instead of
-        # measuring memory bandwidth.
-        cache_bytes=16 * PAGE_SIZE,
-    ))
-    for _ in range(num_cps):
-        for _ in range(refs_per_cp):
-            backlog.add_reference(block=rng.randrange(device_blocks),
-                                  inode=rng.randrange(1, 1 << 12),
-                                  offset=rng.randrange(1 << 8))
-        backlog.checkpoint()
-
-    quiescent_seconds, quiescent_pages, quiescent_owners = _drive_sessions(
-        backlog, num_sessions, device_blocks, page_limit=512)
-
-    stop = threading.Event()
-    churn_rounds = [0]
-
-    def churn() -> None:
-        while not stop.is_set():
-            for i in range(64):
-                backlog.add_reference(block=churn_base + i,
-                                      inode=1, offset=churn_rounds[0])
-            backlog.checkpoint()
-            if churn_rounds[0] % 4 == 3:
-                backlog.maintain()
-            churn_rounds[0] += 1
-            # The serve daemon's churn cadence (cli.py paces at 5ms); an
-            # unpaced tight loop would measure scheduler contention, not
-            # the cost of maintenance under snapshot isolation.
-            stop.wait(0.005)
-
-    churn_thread = threading.Thread(target=churn)
-    churn_thread.start()
-    try:
-        concurrent_seconds, concurrent_pages, concurrent_owners = \
-            _drive_sessions(backlog, num_sessions, device_blocks,
-                            page_limit=512)
-    finally:
-        stop.set()
-        churn_thread.join()
-
-    if (quiescent_pages, quiescent_owners) != (concurrent_pages, concurrent_owners):
-        raise AssertionError(
-            "sessions under churn answered differently: "
-            f"{(quiescent_pages, quiescent_owners)} != "
-            f"{(concurrent_pages, concurrent_owners)}")
-    if backlog.catalogue.pinned_snapshots() != 0:
-        raise AssertionError("catalogue pins leaked by the session drivers")
-
-    entry = _entry(quiescent_seconds, concurrent_seconds, quiescent_pages)
-    entry["sessions"] = num_sessions
-    entry["churn_rounds"] = churn_rounds[0]
-    entry["device_time_scale"] = time_scale
-    entry["owners_per_run"] = quiescent_owners
-    return entry
-
-
 # ------------------------------------------------------------- query fan-out
 
 def _build_fanout_backlog(query_workers: int, image_path: str, num_cps: int,
@@ -1245,88 +1104,6 @@ def bench_cache_invalidate(num_files: int, pages_per_file: int) -> dict:
     return _entry(legacy_seconds, new_seconds, num_files)
 
 
-# ---------------------------------------------------------------- page codec
-
-def bench_cluster_page_codec(num_refs: int, num_pages: int) -> dict:
-    """QUERY_PAGE reply codec: v1 pickled NamedTuples vs v2 packed rows.
-
-    One operation = one back reference shipped through an encode+decode
-    round trip of a coordinator-sized query page.  ``legacy`` is the v1
-    wire shape: the worker materialises every raw owner tuple into a
-    :class:`BackReference` and pickles the list inside the reply dict;
-    ``new`` is the v2 frame -- the worker hands raw owner tuples to
-    :class:`~repro.cluster.protocol.QueryPage`, the codec packs identity
-    words and range pairs into flat little-endian arrays, and the
-    *decoder* materialises the NamedTuples at the coordinator boundary.
-    Decoded results must be identical down to the NamedTuple type.
-    """
-    from repro.cluster.protocol import (
-        Opcode, QueryPage, decode_frame, encode_frame)
-
-    # Page shape matches what whole-device scans actually ship: every owner
-    # one merged range, the overwhelming majority still live
-    # (``to = INFINITY``).
-    rng = random.Random(90210)
-    owners = []
-    for i in range(num_refs):
-        block = i * 3
-        start_version = rng.randrange(1, 40)
-        if rng.random() < 0.9:   # live tail, as real pages carry
-            stop = INFINITY
-        else:
-            stop = start_version + rng.randrange(1, 8)
-        owners.append((block, 1 + i % 64, i % 4096, 1 + i % 8,
-                       ((start_version, stop),)))
-    meta = {"resume_token": b"tok" * 4, "exhausted": False,
-            "stats": {"pages_read": 17, "queries": 1}}
-
-    def legacy_round_trip():
-        refs = list(map(BackReference._make, owners))
-        frame = encode_frame(Opcode.OK, dict(meta, results=refs))
-        return decode_frame(frame)[1]["results"]
-
-    def new_round_trip():
-        page = QueryPage(results=owners, resume_token=meta["resume_token"],
-                         exhausted=meta["exhausted"], stats=meta["stats"])
-        frame = encode_frame(Opcode.OK, page)
-        return decode_frame(frame)[1]["results"]
-
-    legacy_decoded = legacy_round_trip()
-    new_decoded = new_round_trip()
-    if legacy_decoded != new_decoded or \
-            type(new_decoded[0]) is not BackReference:
-        raise AssertionError("packed page codec decodes differently from v1")
-
-    # Page round trips are short enough that scheduler jitter and mid-batch
-    # GC cycles can swing the ratio: pause GC (a round trip allocates every
-    # decoded NamedTuple afresh, so collection noise lands arbitrarily) and
-    # keep the best of three batches per side.
-    legacy_seconds = new_seconds = None
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(num_pages):
-                legacy_round_trip()
-            elapsed = time.perf_counter() - start
-            if legacy_seconds is None or elapsed < legacy_seconds:
-                legacy_seconds = elapsed
-
-            start = time.perf_counter()
-            for _ in range(num_pages):
-                new_round_trip()
-            elapsed = time.perf_counter() - start
-            if new_seconds is None or elapsed < new_seconds:
-                new_seconds = elapsed
-    finally:
-        gc.enable()
-
-    entry = _entry(legacy_seconds, new_seconds, num_refs * num_pages)
-    entry["refs_per_page"] = num_refs
-    return entry
-
-
 # ------------------------------------------------------------------- harness
 
 def _entry(legacy_seconds: float, new_seconds: float, operations: int) -> dict:
@@ -1393,12 +1170,6 @@ def run(quick: bool) -> dict:
         # overlap the 1.5x target is calibrated against.
         "flush_parallel": bench_flush_parallel(
             num_cps=6, refs_per_cp=4_000, workers=4),
-        # Full size in quick mode as well: the serve comparison is a ratio
-        # of two identical session workloads, and shrinking them would let
-        # thread start/join constants dominate the churn effect the 0.8x
-        # target is calibrated against.
-        "serve_concurrent": bench_serve_concurrent(
-            num_cps=6, refs_per_cp=4_000, num_sessions=4),
         # The fan-out comparison is also a ratio against fixed simulated
         # device time, so it too keeps its full size in quick mode -- a
         # shrunk database would leave too few pages per partition for the
@@ -1418,10 +1189,6 @@ def run(quick: bool) -> dict:
         "disk_backend": bench_disk_backend(num_files=16, pages_per_file=256),
         "cache_invalidate": bench_cache_invalidate(
             num_files=60 * scale, pages_per_file=48),
-        # Gated, so it runs full-size in quick mode like every other gated
-        # section.
-        "cluster_page_codec": bench_cluster_page_codec(
-            num_refs=4_000, num_pages=30),
     }
     # Only these sections actually used the shrunk ``scale`` above; entries
     # that ride along in a gated bench call (e.g. ``bloom_add`` next to the
@@ -1453,8 +1220,7 @@ def main(argv: Sequence[str] = None) -> int:
             "legacy = baselines (MD5 Bloom hashing, per-record unpack, "
             "tuple-keyed heap merge, materialized_join dict re-grouping, "
             "scan-based cache invalidation, raw narrow-arm record pipeline, "
-            "materialising query_range list surface, v1 pickled QUERY_PAGE "
-            "replies); new = current hot paths"
+            "materialising query_range list surface); new = current hot paths"
         ),
         "targets": TARGETS,
         "results": results,

@@ -119,7 +119,11 @@ class ClusterQueryResult:
     def __init__(self, cluster: "ShardedBacklog", spec: QuerySpec) -> None:
         self._cluster = cluster
         self.spec = spec
-        self._stream: Optional[Iterator[Tuple[int, BackReference]]] = None
+        self._stream: Optional[Iterator[Tuple[int, List[BackReference]]]] = None
+        #: The shard reply being handed out, and how much of it already was.
+        self._page: List[BackReference] = []
+        self._page_pos = 0
+        self._page_shard: Optional[int] = None
         self._emitted = 0
         self._last: Optional[BackReference] = None
         self._last_shard: Optional[int] = None
@@ -128,12 +132,10 @@ class ClusterQueryResult:
 
     # ------------------------------------------------------------ iteration
 
-    def __iter__(self) -> "ClusterQueryResult":
-        return self
-
-    def __next__(self) -> BackReference:
+    def _fetch(self) -> bool:
+        """Make the next shard reply the current page; False at the end."""
         if self._exhausted or self._page_full:
-            raise StopIteration
+            return False
         if self._stream is None:
             spec = self.spec
             if self._last is not None:
@@ -143,24 +145,40 @@ class ClusterQueryResult:
                 if spec.limit is not None:
                     spec = spec.with_limit(spec.limit - self._emitted)
             self._stream = self._cluster._scatter(spec)
-        try:
-            shard, ref = next(self._stream)
-        except StopIteration:
+        reply = next(self._stream, None)
+        if reply is None:
             limit = self.spec.limit
             if limit is None or self._emitted < limit:
                 self._exhausted = True
             self._stream = None
-            raise
-        self._emitted += 1
-        self._last = ref
-        self._last_shard = shard
+            return False
+        self._page_shard, self._page = reply
+        self._page_pos = 0
+        return True
+
+    def _emit(self, count: int) -> None:
+        """Account for ``count`` more owners of the current page handed out."""
+        self._page_pos += count
+        self._emitted += count
+        self._last = self._page[self._page_pos - 1]
+        self._last_shard = self._page_shard
         if self.spec.limit is not None and self._emitted >= self.spec.limit:
             self._page_full = True
             self.close()
+
+    def __iter__(self) -> "ClusterQueryResult":
+        return self
+
+    def __next__(self) -> BackReference:
+        if self._page_pos >= len(self._page) and not self._fetch():
+            raise StopIteration
+        ref = self._page[self._page_pos]
+        self._emit(1)
         return ref
 
     def close(self) -> None:
         """Abandon the cursor early, releasing the scatter generator."""
+        self._page, self._page_pos = [], 0
         if self._stream is not None:
             self._stream.close()
             self._stream = None
@@ -168,7 +186,13 @@ class ClusterQueryResult:
     # ------------------------------------------------------------ terminals
 
     def all(self) -> List[BackReference]:
-        return list(self)
+        """Drain the cursor, extending from each shard reply's list whole."""
+        owners: List[BackReference] = []
+        while self._page_pos < len(self._page) or self._fetch():
+            page = self._page
+            owners.extend(page[self._page_pos:] if self._page_pos else page)
+            self._emit(len(page) - self._page_pos)
+        return owners
 
     def first(self) -> Optional[BackReference]:
         ref = next(self, None)
@@ -664,9 +688,7 @@ class ShardedBacklog(ReferenceListener):
             reply = self._call(index, Opcode.RELOCATE, {
                 "block": old_block, "new_block": new_block,
                 "authority": self._authority_state()})
-            self._suppressed[index].update(
-                (key.block, key.inode, key.offset, key.line)
-                for key in reply["keys"])
+            self._suppressed[index].update(map(tuple, reply["keys"]))
             return reply["suppressed"]
 
     # -------------------------------------------------------------- queries
@@ -696,8 +718,12 @@ class ShardedBacklog(ReferenceListener):
     def query_stats(self):
         return self.stats.query
 
-    def _scatter(self, spec: QuerySpec) -> Iterator[Tuple[int, BackReference]]:
+    def _scatter(self, spec: QuerySpec) -> Iterator[Tuple[int, List[BackReference]]]:
         """Per-partition sub-queries against the owning shards, in order.
+
+        Yields ``(shard, results)`` once per non-empty reply: the reply's
+        list moves to the cursor whole (no reply ever exceeds what is left
+        of ``spec.limit``, so nothing is ever trimmed from one).
 
         The decomposition (and hence each worker's page reads) depends only
         on the partitioner, never the shard count; per-shard page tallies
@@ -743,12 +769,13 @@ class ShardedBacklog(ReferenceListener):
                 delta.pop("cursors_opened", None)
                 with self._stats_lock:
                     self.stats.query.add_counters(delta)
-                for ref in reply["results"]:
-                    yield shard, ref
+                results = reply["results"]
+                if results:
+                    yield shard, results
                     if remaining is not None:
-                        remaining -= 1
-                if remaining is not None and remaining <= 0:
-                    return
+                        remaining -= len(results)
+                        if remaining <= 0:
+                            return
                 if reply["exhausted"]:
                     break
                 token = reply["resume_token"]

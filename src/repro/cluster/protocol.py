@@ -1,21 +1,43 @@
-"""The coordinator/worker wire protocol: framed, versioned request/response.
+"""The coordinator/worker wire protocol: framed, typed request/response.
 
 Every message is one frame::
 
-    +-------+---------+--------+-----+----------------+---------------+
-    | magic | version | opcode | pad | payload length | pickle payload|
-    |  4 B  |   1 B   |  1 B   | 2 B |     4 B LE     |   variable    |
-    +-------+---------+--------+-----+----------------+---------------+
+    +-------+---------+--------+--------+-----+----------------+---------+
+    | magic | version | opcode | layout | pad | payload length |  body   |
+    |  4 B  |   1 B   |  1 B   |  1 B   | 1 B |     4 B LE     | variable|
+    +-------+---------+--------+--------+-----+----------------+---------+
 
 The header is validated on every receive -- wrong magic, unknown protocol
-version, unknown opcode or a length mismatch all raise
-:class:`ProtocolError` instead of unpickling garbage.  Payloads are pickled
-(stdlib only -- the container has no msgpack, and every payload is built
-from our own dataclasses and primitives), and the frame layout is transport
-agnostic: today frames travel over a duplex
+version, unknown opcode, a layout the opcode does not use or a length
+mismatch all raise :class:`ProtocolError`.  The body is one of four typed
+layouts, chosen by the opcode (nothing on this wire is ``pickle``, so a
+hostile body can at worst be *rejected*):
+
+``JSON``
+    Every control message -- SYNC, the checkpoint phases, MAINTAIN, STATS,
+    RELOCATE, CLONE, SNAPSHOT_DELETED, FAULT, SHUTDOWN, their OK replies,
+    the worker's hello and every ERROR reply -- is a UTF-8 JSON object.
+    What JSON cannot say and a handler relies on is restored on decode:
+    the version-authority table's integer keys, and SYNC's tuple lists.
+``OPS``
+    An UPDATE batch: a count, one byte per op (add/remove), then five u64
+    columns (block, inode, offset, line, cp), each filled in one C pass.
+``QUERY``
+    A QUERY_OPEN / QUERY_PAGE request: a fixed struct (flags, block range,
+    version window, limit), then one u64 column holding the line filter,
+    the inode filter and the version-authority table, then the resume token.
+``PAGE``
+    A worker's reply to a query: flags, the resume token, the per-page
+    :class:`~repro.core.stats.QueryStats` delta as a name list and an i64
+    column, then the owners as six packed columns
+    (:func:`pack_back_references`).
+
+The frame layout is transport agnostic: today frames travel over a duplex
 :class:`multiprocessing.connection.Connection` pipe, but the explicit
 length prefix means the identical bytes could stream over a TCP socket for
-a true multi-node deployment.
+a true multi-node deployment.  Coordinator and workers are spawned from one
+build, so there is exactly one protocol version and no negotiation: a frame
+of any other version fails the exchange loudly.
 
 The conversation is strict request/response: the coordinator sends one
 request frame and reads exactly one reply frame (:data:`Opcode.OK` or
@@ -33,7 +55,7 @@ exception type for the handful of types callers genuinely dispatch on
 
 from __future__ import annotations
 
-import pickle
+import json
 import struct
 import sys
 import threading
@@ -41,7 +63,7 @@ from array import array
 from enum import IntEnum
 from functools import partial
 from itertools import accumulate, chain
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.records import BackReference
 
@@ -53,7 +75,6 @@ __all__ = [
     "QueryPage",
     "WorkerError",
     "PROTOCOL_VERSION",
-    "QUERY_PAGE_VERSION",
     "encode_frame",
     "decode_frame",
     "pack_back_references",
@@ -66,22 +87,18 @@ MAGIC = b"BKLC"
 
 #: Bumped whenever the frame layout or any payload schema changes shape, so
 #: a mixed-version coordinator/worker pair fails its first exchange loudly.
-#: Version 1 frames pickle their whole payload; version 2 frames (see
-#: :data:`QUERY_PAGE_VERSION`) carry a query page as packed columnar arrays.
-PROTOCOL_VERSION = 1
+#: Versions 1 (pickled payloads) and 2 (packed page + pickled metadata) are
+#: gone; there is no peer left that speaks them.
+PROTOCOL_VERSION = 3
 
-#: Frame version of a packed :class:`QueryPage` reply.  Replies only: every
-#: request still travels as a version-1 pickle frame, and a worker that
-#: answers with version 2 is talking to a coordinator from the same build
-#: (the coordinator spawned it), so decoding accepts both versions while
-#: anything newer still fails loudly.
-QUERY_PAGE_VERSION = 2
-
-_HEADER = struct.Struct("<4sBBxxI")
+_HEADER = struct.Struct("<4sBBBxI")
 
 #: Upper bound on a single frame's payload; a length beyond this is treated
 #: as a corrupt header rather than an allocation request.
 MAX_PAYLOAD_BYTES = 1 << 30
+
+#: Body layouts (the header's ``layout`` byte).
+_JSON, _OPS, _QUERY, _PAGE = range(4)
 
 
 class Opcode(IntEnum):
@@ -107,6 +124,19 @@ class Opcode(IntEnum):
     ERROR = 65
 
 
+#: The one layout each request opcode travels in (JSON when not listed).  An
+#: OK reply is JSON too, unless it answers a query (``_PAGE``).
+_REQUEST_LAYOUT = {
+    Opcode.UPDATE: _OPS,
+    Opcode.QUERY_OPEN: _QUERY,
+    Opcode.QUERY_PAGE: _QUERY,
+}
+
+#: JSON requests that carry the coordinator's version-authority table.
+_AUTHORITY_OPCODES = frozenset({
+    Opcode.SYNC, Opcode.CHECKPOINT_PREPARE, Opcode.MAINTAIN, Opcode.RELOCATE})
+
+
 class ProtocolError(RuntimeError):
     """A malformed or version-incompatible frame."""
 
@@ -130,34 +160,27 @@ class ChannelClosedError(ConnectionError):
 
 
 class QueryPage:
-    """One shard's page of query results, shipped packed instead of pickled.
+    """One shard's page of query results, shipped as packed columns.
 
     The worker builds it from the cursor's *raw* owner tuples
     (:meth:`repro.core.cursor.QueryResult.all_rows`) -- a record that
     travelled the columnar pipeline never becomes a BackReference on the
     worker at all.  :func:`encode_frame` recognises the type and emits a
-    version-:data:`QUERY_PAGE_VERSION` frame whose body is the packed
-    columnar arrays plus a small pickled metadata dict;
-    :func:`decode_frame` materialises it back into exactly the
+    ``PAGE`` body; :func:`decode_frame` materialises it into the
     ``{"results": [BackReference, ...], "resume_token": ..., "exhausted":
-    ..., "stats": ...}`` reply dict the pickle wire always carried, so the
-    coordinator's scatter-gather loop is codec-agnostic.
+    ..., "stats": ...}`` reply dict the coordinator's scatter-gather loop
+    reads.
     """
 
     __slots__ = ("results", "resume_token", "exhausted", "stats")
 
-    def __init__(self, results: List[Tuple], resume_token: Any,
-                 exhausted: bool, stats: Any) -> None:
+    def __init__(self, results: List[Tuple], resume_token: Optional[str],
+                 exhausted: bool, stats: Dict[str, int]) -> None:
         self.results = results
         self.resume_token = resume_token
         self.exhausted = exhausted
         self.stats = stats
 
-
-#: Packed page body prefix: number of owners, total number of range pairs.
-_REFS_HEADER = struct.Struct("<II")
-#: Length prefix of the pickled metadata dict in a version-2 frame body.
-_META_HEADER = struct.Struct("<I")
 
 _NATIVE_IS_BE = sys.byteorder == "big"
 
@@ -179,13 +202,55 @@ def _wire_array(typecode: str, data: bytes) -> array:
     return values
 
 
+_ITEMSIZE = {"I": 4, "Q": 8, "q": 8}
+
+
+class _Reader:
+    """Sequential, bounds-checked reads over one frame body."""
+
+    __slots__ = ("view", "pos")
+
+    def __init__(self, view: memoryview) -> None:
+        self.view = view
+        self.pos = 0
+
+    def take(self, size: int) -> memoryview:
+        end = self.pos + size
+        if end > len(self.view):
+            raise ProtocolError(
+                f"frame body overrun: need {size} bytes at offset {self.pos}, "
+                f"body has {len(self.view)}")
+        chunk = self.view[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def unpack(self, layout: struct.Struct) -> Tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def column(self, typecode: str, count: int) -> array:
+        return _wire_array(typecode, self.take(count * _ITEMSIZE[typecode]))
+
+    def text(self, size: int) -> str:
+        return str(self.take(size), "utf-8")
+
+    def finish(self) -> None:
+        if self.pos != len(self.view):
+            raise ProtocolError(
+                f"{len(self.view) - self.pos} trailing bytes after the frame body")
+
+
+# ------------------------------------------------------- packed owner columns
+
+#: Packed owner-column prefix: number of owners, total number of range pairs.
+_REFS_HEADER = struct.Struct("<II")
+
 #: ``tuple.__new__`` bound to :class:`BackReference`: what ``_make`` does
 #: per call, minus its Python stack frame -- the decode loop's constructor.
 _MAKE_REF = partial(tuple.__new__, BackReference)
 
 
 def pack_back_references(refs: List[Tuple]) -> bytes:
-    """Pack owner tuples into flat columnar arrays (the v2 page body).
+    """Pack owner tuples into flat columnar arrays (the page's owner section).
 
     ``refs`` holds ``(block, inode, offset, line, ranges)`` tuples --
     :class:`BackReference` or the columnar pipeline's raw owners, both pack
@@ -193,7 +258,7 @@ def pack_back_references(refs: List[Tuple]) -> bytes:
     little-endian column sections -- u64 blocks, u64 inodes, u64 offsets,
     u64 lines, u32 range counts, then 2 u64s per range pair.  One C-level
     ``zip`` transposes the tuples into columns and every section fills in
-    one C pass; nothing is pickled.
+    one C pass.
     """
     if not refs:
         return _REFS_HEADER.pack(0, 0)
@@ -208,7 +273,7 @@ def pack_back_references(refs: List[Tuple]) -> bytes:
 
 
 def unpack_back_references(data: bytes, offset: int = 0) -> List[BackReference]:
-    """Materialise a packed page body into :class:`BackReference` results.
+    """Materialise packed owner columns into :class:`BackReference` results.
 
     The inverse of :func:`pack_back_references` *and* the wire's
     materialisation boundary: the one place a shipped owner becomes a
@@ -255,43 +320,250 @@ def unpack_back_references(data: bytes, offset: int = 0) -> List[BackReference]:
     return list(map(_MAKE_REF, zip(blocks, inodes, offsets, lines, rngs)))
 
 
+# ---------------------------------------------------------------- body codecs
+
+
+def _authority_from_json(table: Any) -> Optional[Dict[int, Optional[List[int]]]]:
+    """Restore the integer line keys JSON turned into strings."""
+    if table is None:
+        return None
+    if type(table) is not dict:
+        raise ProtocolError("authority table must be an object or null")
+    restored: Dict[int, Optional[List[int]]] = {}
+    for line, versions in table.items():
+        if versions is not None and not (
+                type(versions) is list and set(map(type, versions)) <= {int}):
+            raise ProtocolError("authority versions must be a list of integers or null")
+        restored[int(line)] = versions
+    return restored
+
+
+_JSON_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _encode_json(payload: Any) -> bytes:
+    if type(payload) is not dict:
+        raise TypeError(
+            f"control payloads are JSON objects, not {type(payload).__name__}")
+    return _JSON_ENCODE(payload).encode("utf-8")
+
+
+def _decode_json(kind: Opcode, body: memoryview) -> Dict[str, Any]:
+    payload = json.loads(str(body, "utf-8"))
+    if type(payload) is not dict:
+        raise ProtocolError("control payloads are JSON objects")
+    if kind in _AUTHORITY_OPCODES and "authority" in payload:
+        payload["authority"] = _authority_from_json(payload["authority"])
+    if kind is Opcode.SYNC:
+        # The clone graph, suppressions and zombie set are lists of tuples
+        # on the coordinator and are unpacked as such by the handler.
+        for name in ("clones", "suppressed", "zombies"):
+            if name in payload:
+                payload[name] = list(map(tuple, payload[name]))
+    return payload
+
+
+#: UPDATE batch prefix: number of ops.
+_OPS_HEADER = struct.Struct("<I")
+_OP_KINDS = ("remove", "add")
+_OP_CODES = {kind: code for code, kind in enumerate(_OP_KINDS)}
+
+
+def _encode_ops(payload: Dict[str, Any]) -> bytes:
+    ops = payload["ops"]
+    if not ops:
+        return _OPS_HEADER.pack(0)
+    kinds, *columns = zip(*ops)
+    if len(columns) != 5:
+        raise ValueError("update ops are (kind, block, inode, offset, line, cp)")
+    return b"".join((
+        _OPS_HEADER.pack(len(ops)), bytes(map(_OP_CODES.__getitem__, kinds)),
+        *(_wire_bytes(array("Q", column)) for column in columns)))
+
+
+def _decode_ops(kind: Opcode, body: memoryview) -> Dict[str, Any]:
+    reader = _Reader(body)
+    (count,) = reader.unpack(_OPS_HEADER)
+    kinds = reader.take(count)
+    columns = [reader.column("Q", count) for _ in range(5)]
+    reader.finish()
+    if count and max(kinds) >= len(_OP_KINDS):
+        raise ProtocolError("unknown update kind code")
+    return {"ops": list(zip(map(_OP_KINDS.__getitem__, kinds), *columns))}
+
+
+#: Query request prefix: flags; line-filter, inode-filter, authority-table
+#: and resume-token sizes; first block, block count, version window, limit.
+#: One u64 column follows -- the line filter, the inode filter, then the
+#: version-authority table as ``line, count, versions...`` per line
+#: (:data:`_ALL_VERSIONS` as the count of a line whose entry is ``None``) --
+#: and the resume token's bytes end the body.
+_QUERY_HEADER = struct.Struct("<BxxxIIIIQQQQQ")
+(_LIVE_ONLY, _HAS_WINDOW, _HAS_LIMIT, _HAS_LINES, _HAS_INODES, _HAS_TOKEN,
+ _HAS_AUTHORITY) = (1 << bit for bit in range(7))
+_ALL_VERSIONS = (1 << 64) - 1
+
+
+def _encode_query(payload: Dict[str, Any]) -> bytes:
+    spec, authority = payload["spec"], payload["authority"]
+    window, limit = spec["version_window"], spec["limit"]
+    lines, inodes, token = spec["lines"], spec["inodes"], spec["resume_token"]
+    flags = _LIVE_ONLY if spec["live_only"] else 0
+    lo = hi = 0
+    if window is not None:
+        flags |= _HAS_WINDOW
+        lo, hi = window
+    if limit is not None:
+        flags |= _HAS_LIMIT
+    words: List[int] = []
+    if lines is not None:
+        flags |= _HAS_LINES
+        words.extend(lines)
+    if inodes is not None:
+        flags |= _HAS_INODES
+        words.extend(inodes)
+    if authority is not None:
+        flags |= _HAS_AUTHORITY
+        for line, versions in authority.items():
+            if versions is None:
+                words += (line, _ALL_VERSIONS)
+            else:
+                words += (line, len(versions))
+                words += versions
+    token_bytes = b""
+    if token is not None:
+        flags |= _HAS_TOKEN
+        token_bytes = token.encode("utf-8")
+    return b"".join((
+        _QUERY_HEADER.pack(
+            flags, len(lines or ()), len(inodes or ()), len(authority or ()),
+            len(token_bytes), spec["first_block"], spec["num_blocks"],
+            lo, hi, limit or 0),
+        _wire_bytes(array("Q", words)), token_bytes))
+
+
+def _decode_query(kind: Opcode, body: memoryview) -> Dict[str, Any]:
+    if len(body) < _QUERY_HEADER.size:
+        raise ProtocolError(f"short query request body: {len(body)} bytes")
+    (flags, num_lines, num_inodes, authority_lines, token_size, first_block,
+     num_blocks, lo, hi, limit) = _QUERY_HEADER.unpack_from(body)
+    if flags >= _HAS_AUTHORITY << 1:
+        raise ProtocolError(f"unknown query flags {flags:#x}")
+    words_end = len(body) - token_size
+    if words_end < _QUERY_HEADER.size or (words_end - _QUERY_HEADER.size) % 8:
+        raise ProtocolError("query request token overruns the body")
+    words = _wire_array("Q", body[_QUERY_HEADER.size:words_end]).tolist()
+    pos = num_lines + num_inodes
+    authority: Dict[int, Optional[List[int]]] = {}
+    for _ in range(authority_lines):
+        if pos + 2 > len(words):
+            raise ProtocolError("query request authority table is cut short")
+        line, count = words[pos], words[pos + 1]
+        pos += 2
+        if count == _ALL_VERSIONS:
+            authority[line] = None
+        else:
+            authority[line] = words[pos:pos + count]
+            pos += count
+    if pos != len(words):
+        raise ProtocolError("query request columns do not match their counts")
+    return {
+        "authority": authority if flags & _HAS_AUTHORITY else None,
+        "spec": {
+            "first_block": first_block,
+            "num_blocks": num_blocks,
+            "version_window": (lo, hi) if flags & _HAS_WINDOW else None,
+            "live_only": bool(flags & _LIVE_ONLY),
+            "lines": (frozenset(words[:num_lines])
+                      if flags & _HAS_LINES else None),
+            "inodes": (frozenset(words[num_lines:num_lines + num_inodes])
+                       if flags & _HAS_INODES else None),
+            "limit": limit if flags & _HAS_LIMIT else None,
+            "resume_token": (str(body[words_end:], "utf-8")
+                             if flags & _HAS_TOKEN else None),
+        },
+    }
+
+
+#: Query page prefix: flags; resume-token size, stat-name bytes, stat count.
+_PAGE_HEADER = struct.Struct("<BxxxIII")
+_EXHAUSTED, _PAGE_HAS_TOKEN = 1, 2
+
+
+def _encode_page(page: QueryPage) -> bytes:
+    token, stats = page.resume_token, page.stats
+    flags = ((_EXHAUSTED if page.exhausted else 0)
+             | (_PAGE_HAS_TOKEN if token is not None else 0))
+    token_bytes = token.encode("utf-8") if token is not None else b""
+    names = "\0".join(stats).encode("utf-8")
+    return b"".join((
+        _PAGE_HEADER.pack(flags, len(token_bytes), len(names), len(stats)),
+        token_bytes, names, _wire_bytes(array("q", stats.values())),
+        pack_back_references(page.results)))
+
+
+def _decode_page(kind: Opcode, body: memoryview) -> Dict[str, Any]:
+    reader = _Reader(body)
+    flags, token_size, names_size, num_stats = reader.unpack(_PAGE_HEADER)
+    if flags > (_EXHAUSTED | _PAGE_HAS_TOKEN):
+        raise ProtocolError(f"unknown query page flags {flags:#x}")
+    token = reader.text(token_size)
+    names = reader.text(names_size).split("\0") if num_stats else []
+    if len(names) != num_stats:
+        raise ProtocolError("query page stat names do not match the stat count")
+    stats = dict(zip(names, reader.column("q", num_stats)))
+    return {
+        "results": unpack_back_references(body, reader.pos),
+        "resume_token": token if flags & _PAGE_HAS_TOKEN else None,
+        "exhausted": bool(flags & _EXHAUSTED),
+        "stats": stats,
+    }
+
+
+_ENCODERS: Dict[int, Callable[[Any], bytes]] = {
+    _JSON: _encode_json, _OPS: _encode_ops, _QUERY: _encode_query,
+    _PAGE: _encode_page,
+}
+_DECODERS: Dict[int, Callable[[Opcode, memoryview], Dict[str, Any]]] = {
+    _JSON: _decode_json, _OPS: _decode_ops, _QUERY: _decode_query,
+    _PAGE: _decode_page,
+}
+
+
 def encode_frame(opcode: Opcode, payload: Any) -> bytes:
     """Serialise one message into its framed wire bytes.
 
-    A :class:`QueryPage` payload takes the packed columnar encoding (a
-    version-:data:`QUERY_PAGE_VERSION` frame); everything else pickles into
-    a version-:data:`PROTOCOL_VERSION` frame exactly as before.
+    The opcode picks the body layout (see the module docstring); a
+    :class:`QueryPage` payload is the packed reply to a query.  A payload
+    that does not fit its opcode's layout -- a missing field, a value
+    outside u64, something JSON cannot carry -- raises
+    :class:`ProtocolError` here rather than a frame the peer would reject.
     """
-    if type(payload) is QueryPage:
-        meta = pickle.dumps(
-            {"resume_token": payload.resume_token,
-             "exhausted": payload.exhausted,
-             "stats": payload.stats},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        body = (_META_HEADER.pack(len(meta)) + meta
-                + pack_back_references(payload.results))
-        version = QUERY_PAGE_VERSION
-    else:
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        version = PROTOCOL_VERSION
+    layout = (_PAGE if type(payload) is QueryPage
+              else _REQUEST_LAYOUT.get(opcode, _JSON))
+    try:
+        body = _ENCODERS[layout](payload)
+    except (KeyError, TypeError, ValueError, OverflowError, struct.error) as exc:
+        raise ProtocolError(
+            f"payload does not fit the {Opcode(opcode).name} frame: {exc!r}") from exc
     if len(body) > MAX_PAYLOAD_BYTES:
         raise ProtocolError(f"payload too large: {len(body)} bytes")
-    return _HEADER.pack(MAGIC, version, int(opcode), len(body)) + body
+    return _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(opcode), layout, len(body)) + body
 
 
 def decode_frame(data: bytes) -> Tuple[Opcode, Any]:
     """Parse framed wire bytes; raises :class:`ProtocolError` on bad input.
 
-    Accepts version-1 (pickled payload) and version-2 (packed query page)
-    frames; a version-2 body decodes into the same reply dict shape the
-    pickle wire carries, so callers never see the codec.
+    Whatever the bytes are, the outcome is a well-typed payload or a
+    :class:`ProtocolError` -- never another exception, and never code run
+    on the sender's behalf.
     """
     if len(data) < _HEADER.size:
         raise ProtocolError(f"short frame: {len(data)} bytes")
-    magic, version, opcode, length = _HEADER.unpack_from(data)
+    magic, version, opcode, layout, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic: {magic!r}")
-    if version not in (PROTOCOL_VERSION, QUERY_PAGE_VERSION):
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: peer speaks {version}, "
             f"this process speaks {PROTOCOL_VERSION}")
@@ -303,18 +575,13 @@ def decode_frame(data: bytes) -> Tuple[Opcode, Any]:
         kind = Opcode(opcode)
     except ValueError as exc:
         raise ProtocolError(f"unknown opcode {opcode}") from exc
-    if version == QUERY_PAGE_VERSION:
-        body = memoryview(data)[_HEADER.size:]
-        if len(body) < _META_HEADER.size:
-            raise ProtocolError(f"short query page frame: {len(body)} bytes")
-        meta_len = _META_HEADER.unpack_from(body, 0)[0]
-        meta_end = _META_HEADER.size + meta_len
-        if len(body) < meta_end:
-            raise ProtocolError("query page metadata overruns the frame")
-        reply = pickle.loads(body[_META_HEADER.size:meta_end])
-        reply["results"] = unpack_back_references(data, _HEADER.size + meta_end)
-        return kind, reply
-    return kind, pickle.loads(data[_HEADER.size:])
+    if layout != _REQUEST_LAYOUT.get(kind, _JSON) and not (
+            layout == _PAGE and kind is Opcode.OK):
+        raise ProtocolError(f"{kind.name} frames do not use body layout {layout}")
+    try:
+        return kind, _DECODERS[layout](kind, memoryview(data)[_HEADER.size:])
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise ProtocolError(f"malformed {kind.name} frame body: {exc!r}") from exc
 
 
 def raise_reply_error(payload: Any) -> None:
@@ -348,13 +615,13 @@ class Channel:
         self._connection = connection
         self._lock = threading.Lock()
 
-    def send(self, opcode: Opcode, payload: Any = None) -> None:
+    def send(self, opcode: Opcode, payload: Any) -> None:
         self._connection.send_bytes(encode_frame(opcode, payload))
 
     def recv(self) -> Tuple[Opcode, Any]:
         return decode_frame(self._connection.recv_bytes())
 
-    def request(self, opcode: Opcode, payload: Any = None) -> Any:
+    def request(self, opcode: Opcode, payload: Any) -> Any:
         """One locked request/response round trip.
 
         Returns the OK reply's payload; re-raises a relayed worker error.

@@ -13,7 +13,9 @@ process can clone held locks into the child.  Spawn re-imports this module
 in a clean interpreter, so :func:`worker_main` and every argument it takes
 must be picklable module-level state -- which they are: a pipe connection,
 plain ints/strings, a frozen :class:`~repro.core.config.BacklogConfig` and
-an optional frozen :class:`~repro.fsim.faults.FaultPlan`.
+an optional frozen :class:`~repro.fsim.faults.FaultPlan`.  (That pickling is
+``multiprocessing``'s own process bootstrap; no frame on the wire is
+pickled -- see :mod:`repro.cluster.protocol`.)
 
 Durability and crash recovery
 -----------------------------
@@ -57,7 +59,7 @@ from repro.core.recovery import recover_backlog
 from repro.fsim.blockdev import DiskBackend, MemoryBackend
 from repro.fsim.faults import FaultPlan, FaultyBackend
 
-from repro.cluster.protocol import Channel, Opcode, QueryPage
+from repro.cluster.protocol import Channel, Opcode, ProtocolError, QueryPage
 
 __all__ = ["worker_main", "shard_directory", "shard_meta_path"]
 
@@ -285,9 +287,9 @@ class _ShardWorker:
         query_stats = self.backlog.stats.query
         before = query_stats.snapshot_counters()
         cursor = self.backlog.select(spec)
-        # Drain raw owner tuples: the packed v2 QUERY_PAGE frame ships them
-        # as flat columnar arrays, so no BackReference is ever built (or
-        # pickled) on the worker -- the coordinator's decode materialises.
+        # Drain raw owner tuples: the packed page frame ships them as flat
+        # columnar arrays, so no BackReference is ever built on the worker
+        # -- the coordinator's decode materialises.
         results = cursor.all_rows()
         after = query_stats.snapshot_counters()
         return QueryPage(
@@ -348,6 +350,12 @@ class _ShardWorker:
         return {"armed": self.faulty.armed}
 
 
+def _error_reply(exc: Exception) -> Dict[str, Any]:
+    """An ERROR frame's payload (see ``protocol.raise_reply_error``)."""
+    return {"kind": type(exc).__name__, "message": str(exc),
+            "errno": getattr(exc, "errno", None)}
+
+
 def worker_main(connection, shard: int, num_shards: int,
                 directory: Optional[str], config: BacklogConfig,
                 fault_plan: Optional[FaultPlan] = None,
@@ -366,9 +374,7 @@ def worker_main(connection, shard: int, num_shards: int,
         worker = _ShardWorker(shard, num_shards, directory, config, fault_plan,
                               time_scale)
     except Exception as exc:  # pragma: no cover - mount failures are fatal
-        channel.send(Opcode.ERROR,
-                     {"kind": type(exc).__name__, "message": str(exc),
-                      "errno": getattr(exc, "errno", None)})
+        channel.send(Opcode.ERROR, _error_reply(exc))
         return
     channel.send(Opcode.OK, {
         "shard": shard,
@@ -382,14 +388,15 @@ def worker_main(connection, shard: int, num_shards: int,
             opcode, payload = channel.recv()
         except (EOFError, OSError):
             break
+        except ProtocolError as exc:
+            # The frame arrived whole but does not decode: refuse it and
+            # stay in step (one frame in, one reply out).
+            channel.send(Opcode.ERROR, _error_reply(exc))
+            continue
         try:
             reply = worker.handle(opcode, payload)
         except Exception as exc:
-            channel.send(Opcode.ERROR, {
-                "kind": type(exc).__name__,
-                "message": str(exc),
-                "errno": getattr(exc, "errno", None),
-            })
+            channel.send(Opcode.ERROR, _error_reply(exc))
             continue
         channel.send(Opcode.OK, reply)
         if opcode is Opcode.SHUTDOWN:

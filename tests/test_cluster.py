@@ -30,7 +30,6 @@ from repro.cluster import (
 from repro.cluster.protocol import (
     MAGIC,
     PROTOCOL_VERSION,
-    QUERY_PAGE_VERSION,
     _HEADER,
     decode_frame,
     encode_frame,
@@ -52,31 +51,41 @@ from repro.fsim.faults import FaultPlan
 
 
 def test_frame_roundtrip_all_opcodes():
-    payload = {"nested": [1, 2, {"three": (4, 5)}], "none": None}
-    for opcode in Opcode:
+    # Every control opcode carries a JSON object; the typed UPDATE / QUERY_*
+    # layouts (and real payloads of every opcode) are round-tripped in
+    # tests/test_wire_codec.py.
+    payload = {"nested": [1, 2, {"three": [4, 5]}], "none": None}
+    typed = {Opcode.UPDATE, Opcode.QUERY_OPEN, Opcode.QUERY_PAGE}
+    for opcode in set(Opcode) - typed:
         kind, body = decode_frame(encode_frame(opcode, payload))
         assert kind is opcode
         assert body == payload
+    for opcode in typed:
+        with pytest.raises(ProtocolError, match="does not fit"):
+            encode_frame(opcode, payload)
 
 
 def test_frame_rejects_corruption():
     frame = encode_frame(Opcode.STATS, {"x": 1})
+    body = frame[_HEADER.size:]
     with pytest.raises(ProtocolError, match="magic"):
         decode_frame(b"XXXX" + frame[4:])
-    # Version 2 is the packed QUERY_PAGE reply codec, so the first *unknown*
-    # version is one past it.
-    with pytest.raises(ProtocolError, match="version"):
-        decode_frame(_HEADER.pack(MAGIC, QUERY_PAGE_VERSION + 1, int(Opcode.STATS),
-                                  len(frame) - _HEADER.size)
-                     + frame[_HEADER.size:])
+    # One build, one version: the pickle-era versions 1 and 2 are as foreign
+    # as a future one.
+    for version in (1, 2, PROTOCOL_VERSION + 1):
+        with pytest.raises(ProtocolError, match="version"):
+            decode_frame(_HEADER.pack(MAGIC, version, int(Opcode.STATS), 0,
+                                      len(body)) + body)
     with pytest.raises(ProtocolError, match="length"):
         decode_frame(frame[:-1])
     with pytest.raises(ProtocolError, match="short frame"):
         decode_frame(frame[:4])
     with pytest.raises(ProtocolError, match="opcode"):
-        decode_frame(_HEADER.pack(MAGIC, PROTOCOL_VERSION, 250,
-                                  len(frame) - _HEADER.size)
-                     + frame[_HEADER.size:])
+        decode_frame(_HEADER.pack(MAGIC, PROTOCOL_VERSION, 250, 0,
+                                  len(body)) + body)
+    with pytest.raises(ProtocolError, match="layout"):
+        decode_frame(_HEADER.pack(MAGIC, PROTOCOL_VERSION, int(Opcode.STATS), 3,
+                                  len(body)) + body)
 
 
 def test_error_relay_preserves_dispatchable_types():

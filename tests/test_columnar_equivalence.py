@@ -16,9 +16,9 @@ reference:
   identical page contents, resume tokens and *exactly* equal ``pages_read``;
 * sharded clusters at 1 and 3 shards against the same reference, with
   exactly equal ``pages_read`` between the shard counts;
-* the version-2 ``QUERY_PAGE`` wire codec: pack/unpack identity, v2
-  frames decoding into the v1 reply dict shape, v1 pickle frames from old
-  peers still decodable, and malformed bodies rejected loudly.
+* the packed query-page wire codec: pack/unpack identity, page frames
+  decoding into the coordinator's reply dict, version-1 pickle frames
+  rejected unread, and malformed bodies rejected loudly.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import pickle
 import random
+import struct
 from typing import List, Tuple
 
 import pytest
@@ -59,7 +60,6 @@ from repro.core.records import (
 from repro.cluster.protocol import (
     MAGIC,
     PROTOCOL_VERSION,
-    QUERY_PAGE_VERSION,
     Opcode,
     ProtocolError,
     QueryPage,
@@ -306,7 +306,7 @@ def test_cluster_columnar_matches_tuple_path(shard_factory, num_shards):
     assert pages_read > 0
 
 
-# ----------------------------------------------------- v2 wire codec
+# ------------------------------------------------- packed page wire codec
 
 
 _SINGLE_RANGE_PAGE = [
@@ -330,11 +330,11 @@ def test_pack_back_references_roundtrip(owners):
 
 
 def test_query_page_frame_decodes_to_reply_dict():
-    """A v2 frame round-trips into the exact v1 reply dict shape."""
+    """A packed page frame decodes into the coordinator's reply dict."""
     stats = {"pages_read": 12, "queries": 1}
     page = QueryPage(_MIXED_PAGE, "bkq2.AAAA", False, stats)
     frame = encode_frame(Opcode.OK, page)
-    assert _HEADER.unpack_from(frame)[1] == QUERY_PAGE_VERSION
+    assert _HEADER.unpack_from(frame)[1] == PROTOCOL_VERSION
     opcode, reply = decode_frame(frame)
     assert opcode is Opcode.OK
     assert reply == {
@@ -345,18 +345,25 @@ def test_query_page_frame_decodes_to_reply_dict():
     }
 
 
-def test_v1_pickle_frames_from_old_peers_still_decode():
-    """A peer that pickles the reply dict (pre-v2) must stay readable."""
+def test_v1_pickle_frames_raise_protocol_error():
+    """A version-1 frame (a pickled reply dict) is rejected, never unpickled."""
     reply = {"results": [BackReference._make(o) for o in _SINGLE_RANGE_PAGE],
              "resume_token": None, "exhausted": True, "stats": {}}
-    frame = encode_frame(Opcode.OK, reply)       # plain payload: v1 pickle
-    assert _HEADER.unpack_from(frame)[1] == PROTOCOL_VERSION
-    assert decode_frame(frame) == (Opcode.OK, reply)
+    body = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+    v1_header = struct.Struct("<4sBBxxI")        # the pre-layout-byte header
+    frame = v1_header.pack(MAGIC, 1, int(Opcode.OK), len(body)) + body
+    with pytest.raises(ProtocolError, match="version"):
+        decode_frame(frame)
+    # ... and the same pickle under a current header is just a malformed body.
+    current = _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(Opcode.OK), 0,
+                           len(body)) + body
+    with pytest.raises(ProtocolError, match="malformed"):
+        decode_frame(current)
 
 
 def test_unknown_frame_version_rejected():
-    body = pickle.dumps({})
-    frame = _HEADER.pack(MAGIC, QUERY_PAGE_VERSION + 1, int(Opcode.OK),
+    body = b"{}"
+    frame = _HEADER.pack(MAGIC, PROTOCOL_VERSION + 1, int(Opcode.OK), 0,
                          len(body)) + body
     with pytest.raises(ProtocolError):
         decode_frame(frame)
@@ -375,8 +382,8 @@ def test_malformed_query_page_bodies_rejected():
     frame = encode_frame(Opcode.OK, QueryPage(_MIXED_PAGE, None, True, {}))
     with pytest.raises(ProtocolError):                # body/header length lies
         decode_frame(frame[:-3])
-    body = b"\xff\xff\xff\x7f" + b"meta"              # meta length > body
-    lying = _HEADER.pack(MAGIC, QUERY_PAGE_VERSION, int(Opcode.OK),
+    body = b"\x02\x00\x00\x00" + b"\xff\xff\xff\x7f" + b"tokn"  # token > body
+    lying = _HEADER.pack(MAGIC, PROTOCOL_VERSION, int(Opcode.OK), 3,
                          len(body)) + body
-    with pytest.raises(ProtocolError):                # meta overruns frame
+    with pytest.raises(ProtocolError):                # token overruns frame
         decode_frame(lying)

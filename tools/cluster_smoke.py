@@ -14,7 +14,9 @@ HTTP client, the coordinator daemon, and its N spawned shard workers:
 4. SIGKILL one shard worker outright, then keep querying: the coordinator
    must revive the shard transparently (same answers surface, no error
    responses) and ``/stats`` must show a fresh pid in that slot,
-5. send SIGTERM and require a graceful drain: exit code 0 and the
+5. time keep-alive round trips through HTTP, coordinator and workers
+   (``serve_smoke.check_keep_alive_round_trips``: median >= 20 ms fails),
+6. send SIGTERM and require a graceful drain: exit code 0 and the
    ``drained`` banner.
 
 Run with::
@@ -33,6 +35,8 @@ import subprocess
 import sys
 import threading
 import time
+
+from serve_smoke import check_keep_alive_round_trips
 
 SHARDS = 3
 SESSIONS = 3
@@ -167,6 +171,8 @@ def main() -> None:
         if len(revived) != SHARDS or revived[0] != worker_pids[0]:
             fail(f"unexpected worker set after revive: {revived}")
         print(f"  shard 1 revived as pid {revived[1]}")
+
+        check_keep_alive_round_trips(port)
 
         # Graceful drain on SIGTERM -- with all shards back in service.
         process.send_signal(signal.SIGTERM)

@@ -10,7 +10,11 @@ in-process :class:`~repro.server.QueryService` the unit tests use:
    connections) while the daemon's churn thread keeps checkpointing and
    compacting under them,
 3. check the error surface (malformed resume token -> 400, never a 5xx),
-4. send SIGTERM and require a graceful drain: exit code 0 and the
+4. time keep-alive round trips (``GET /health`` and a point ``POST /query``)
+   and fail when the median reaches 20 ms -- half the kernel's 40 ms
+   delayed-ACK timer, i.e. a constant of the failure being guarded against
+   (a response that leaves in two sends), not of the machine,
+5. send SIGTERM and require a graceful drain: exit code 0 and the
    ``drained`` banner.
 
 Run with::
@@ -25,6 +29,7 @@ import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -34,6 +39,10 @@ SESSIONS = 4
 PAGE_LIMIT = 40
 STARTUP_TIMEOUT_S = 60
 DRAIN_TIMEOUT_S = 60
+ROUND_TRIPS = 40
+#: Half the kernel's delayed-ACK timer: a split response costs 40 ms a round
+#: trip everywhere, a whole one a millisecond or two even on a slow runner.
+ROUND_TRIP_LIMIT_MS = 20.0
 
 
 def fail(message: str) -> None:
@@ -53,6 +62,28 @@ def request(port: int, method: str, path: str, payload=None, conn=None):
     if own:
         conn.close()
     return response.status, data
+
+
+def check_keep_alive_round_trips(port: int) -> None:
+    """Median keep-alive round trip per endpoint; fails at the limit."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    for method, path, payload in (("GET", "/health", None),
+                                  ("POST", "/query", {"first_block": 0})):
+        samples = []
+        for _ in range(ROUND_TRIPS):
+            start = time.perf_counter()
+            status, _ = request(port, method, path, payload, conn=conn)
+            samples.append((time.perf_counter() - start) * 1e3)
+            if status != 200:
+                fail(f"{method} {path} -> {status} while timing round trips")
+        median = statistics.median(samples)
+        print(f"  keep-alive {method} {path}: median {median:.2f} ms "
+              f"over {ROUND_TRIPS} round trips")
+        if median >= ROUND_TRIP_LIMIT_MS:
+            fail(f"{method} {path} keep-alive round trip median {median:.1f} ms "
+                 f">= {ROUND_TRIP_LIMIT_MS:.0f} ms: is the response leaving in "
+                 f"more than one send?")
+    conn.close()
 
 
 def paginate(port: int, worker: int, errors):
@@ -123,6 +154,8 @@ def main() -> None:
         status, health = request(port, "GET", "/health")
         if status != 200 or health.get("status") != "ok":
             fail(f"health -> {status}: {health}")
+
+        check_keep_alive_round_trips(port)
 
         # Graceful drain on SIGTERM.
         process.send_signal(signal.SIGTERM)
