@@ -1,79 +1,51 @@
-"""Hot-path microbenchmark: legacy vs. current implementations, side by side.
+"""Executor and I/O microbenchmark: serial vs. parallel, per-page vs. batched.
 
-Measures the paths this repository's perf work targets -- query prefilter
-(Bloom probes), page codecs (leaf decode, sorted-run merge), the query-time
-join and the page cache -- by driving a baseline and the current
-implementation through identical inputs in the same process, and emits
-``BENCH_hotpath.json`` recording µs/op and speedups.  (Absolute per-stage
-costs, including the stages whose old implementations have been deleted,
-are reported by ``bench/``; see ``docs/ARCHITECTURE.md``, "Retired
-implementations".)
+What is left of the hot-path benchmark: the four comparisons that need
+throttled I/O, real files or several processes, and so have no counterpart
+among ``bench/``'s per-layer metrics yet.  Each drives a baseline and the
+current configuration through identical inputs, asserts identical answers
+(or bytes) inline before reporting any timing, and the ratios land in
+``BENCH_hotpath.json``.  (The sections that raced a retained copy of deleted
+code -- MD5 Bloom hashing, v1 run decode, the seed's leaf decoder, heap
+merge, dict join, scan invalidation and list surface -- are retired; their
+last ratios and the ``bench/`` metric that reports each stage now are in
+``docs/ARCHITECTURE.md``, "Retired implementations".)
 
-The baselines:
-
-* ``BloomFilter(hash_version=1)`` -- the MD5 double-hashing scheme;
-* a local re-implementation of the seed's one-``unpack``-per-record leaf
-  decoder and of its tuple-keyed heap merge;
-* :func:`repro.core.join.materialized_join` -- the dict re-grouping query
-  join, measured against the row merge-join on narrow, wide and
-  whole-device range queries;
-* a scan-based re-implementation of ``PageCache.invalidate_file`` measured
-  against the per-file key index;
-* the narrow arm's record pipeline (gather lists + ``materialized_join``
-  + ``materialized_expand`` + dict grouping), measured against the engine's
-  size-dispatched narrow-query path and against the forced row pipeline;
-* the materialising list surface (``query_range``) measured against the
-  cursor surface (``Backlog.select``): whole-device existence checks via
-  ``.first()`` early exit, and whole-device scans via resume-token
-  pagination (wall time and transient-memory growth in the scanned width);
-* ``query_workers=1`` -- the serial per-partition gather loop, measured
-  against the read-side fan-out over a throttled :class:`DiskImageBackend`,
-  with byte-identical answers and exact page accounting asserted inline;
-* the seed DiskBackend's open/append/close-per-page run writes, measured
-  against the batched single-descriptor write path on real files;
-* a single-shard process cluster measured against 3 shard processes on
-  Zipf-skewed, CPU-bound deep clone-chain point queries -- aggregate
-  client queries/sec, identical answers asserted inline.
+* ``flush_parallel`` -- ``flush_workers=1`` against the partition-sharded
+  flush and compaction executor over a :class:`ThrottledBackend`, the two
+  backends byte-identical;
+* ``query_fanout`` -- ``query_workers=1`` (the serial per-partition gather
+  loop) against the read-side fan-out over a throttled
+  :class:`DiskImageBackend`, with byte-identical answers and exact page
+  accounting;
+* ``shard_scale`` -- a single-shard process cluster against 3 shard
+  processes on Zipf-skewed, CPU-bound deep clone-chain point queries --
+  aggregate client queries/sec, identical answers;
+* ``disk_backend`` -- open/append/close-per-page run writes against the
+  batched single-descriptor write path on real files, byte-identical.
 
 Run with::
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick] [--check]
-                                                      [--output PATH]
+    PYTHONPATH=src python benchmarks/bench_hotpath.py [--check] [--output PATH]
 
-``--quick`` shrinks the workloads (CI uses it), ``--check`` exits non-zero
-when the speedup targets (``TARGETS``) are not met.
+``--check`` exits non-zero when a speedup target (``TARGETS``) is not met.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
-import heapq
 import json
 import os
 import random
 import sys
 import time
-import tracemalloc
-from bisect import bisect_left
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core.backlog import Backlog
-from repro.core.bloom import BloomFilter, DEFAULT_FILTER_BITS, FORMAT_V1, FORMAT_V2
-from repro.core.columnar import join_rows_for_query
 from repro.core.config import BacklogConfig
 from repro.core.cursor import QuerySpec
-from repro.core.join import materialized_join
-from repro.core.lsm import merge_sorted_runs
-from repro.core.read_store import ReadStoreWriter, _PAGE_HEADER
-from repro.core.records import (
-    FromRecord,
-    ToRecord,
-    pack_key_prefix,
-    records_to_rows,
-)
 from repro.fsim.blockdev import (
     DiskBackend,
     DiskImageBackend,
@@ -81,620 +53,26 @@ from repro.fsim.blockdev import (
     PAGE_SIZE,
     ThrottledBackend,
 )
-from repro.fsim.cache import PageCache
 
 DEFAULT_OUTPUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_hotpath.json")
 
-#: Acceptance targets for the headline paths (PR 1: Bloom probe; PR 2: the
-#: merge-join on wide range queries; PR 3: the narrow-query size dispatch,
-#: whose "speedup" vs the raw record pipeline must stay >= 0.95 -- i.e. the
-#: dispatched engine gives back at most ~5% on narrow queries).
+#: Acceptance targets, each the minimum ``legacy / new`` wall-time ratio.
 TARGETS = {
-    "bloom_probe": 1.5,
-    # Recalibrated from 1.5 when --check became a CI gate (PR 8): the old
-    # bar was set from fresh-process runs, where the materialising legacy
-    # join -- which is timed first -- also pays the heap's first-touch
-    # growth.  Mid-suite, on a warm heap, the honest ratio settles ~1.45;
-    # 1.35 keeps the gate meaningful without flaking on that offset.
-    "join_wide": 1.35,
-    "narrow_dispatch": 0.95,
-    # PR 4: the cursor surface -- an existence check via ``.first()`` on a
-    # whole-device range must beat materialising the full answer by 5x.
-    "cursor.first": 5.0,
-    # PR 5: the partition-sharded flush executor -- a multi-partition flush
-    # over a device-time-modelling backend must be at least 1.5x faster with
-    # 4 workers than serial; and a resumed cursor page must beat the
-    # uncached re-seek path.
+    # The partition-sharded flush executor -- a multi-partition flush over a
+    # device-time-modelling backend must be at least 1.5x faster with 4
+    # workers than serial.
     "flush_parallel": 1.5,
-    "cursor.resume_cache": 1.05,
-    # PR 6: page checksums -- a full-run decode with per-page CRC32
-    # verification must retain >= 0.91x of the unchecksummed v1 decode
-    # throughput (i.e. verification may cost at most ~1.1x).
-    "checksum": 0.91,
-    # PR 8: the read-side partition fan-out -- a whole-device query over a
+    # The read-side partition fan-out -- a whole-device query over a
     # (throttled) disk-image backend must be >= 1.5x faster with 4 query
-    # workers than serial, with byte-identical answers and exact page
-    # accounting asserted inline; and batched DiskBackend run writes must
-    # beat the historical open/append/close-per-page pattern by >= 1.2x.
+    # workers than serial; and batched DiskBackend run writes must beat the
+    # historical open/append/close-per-page pattern by >= 1.2x.
     "query_fanout": 1.5,
     "disk_backend": 1.2,
-    # PR 9: the coordinator/worker process cluster -- aggregate point-query
+    # The coordinator/worker process cluster -- aggregate point-query
     # throughput on CPU-bound deep clone-chain expansion must be >= 1.5x
-    # with 3 shard processes vs a single-shard cluster, identical answers
-    # asserted inline.
+    # with 3 shard processes vs a single-shard cluster.
     "shard_scale": 1.5,
-    # PR 10: the columnar row pipeline.  The narrow-range row join must hold
-    # at least parity with the materialised join so the size dispatch is a
-    # fallback rather than a necessity.
-    "join_narrow": 1.0,
 }
-
-#: Sections the --check gate reads (the top-level section of every TARGETS
-#: key).  In ``--quick`` mode these run at full (non-quick) workload size
-#: anyway -- a shrunk workload would not measure what its target was
-#: calibrated against -- and every JSON entry records the ``quick`` flag it
-#: was actually measured with, so the gate can verify it is comparing
-#: full-size numbers.
-GATED_SECTIONS = frozenset(name.split(".", 1)[0] for name in TARGETS)
-
-
-# --------------------------------------------------------------------- bloom
-
-def bench_bloom(num_items: int, num_probes: int) -> dict:
-    blocks = list(range(0, num_items * 3, 3))
-    probes = list(range(1, num_probes * 7, 7))  # ~1/3 hits, 2/3 misses
-
-    filters = {}
-    add_seconds = {}
-    for version in (FORMAT_V1, FORMAT_V2):
-        bloom = BloomFilter(DEFAULT_FILTER_BITS, num_hashes=4, hash_version=version)
-        start = time.perf_counter()
-        bloom.add_many(blocks)
-        add_seconds[version] = time.perf_counter() - start
-        filters[version] = bloom
-
-    probe_seconds = {}
-    hits = {}
-    for version, bloom in filters.items():
-        contains = bloom.might_contain
-        start = time.perf_counter()
-        hits[version] = sum(1 for block in probes if contains(block))
-        probe_seconds[version] = time.perf_counter() - start
-
-    range_seconds = {}
-    for version, bloom in filters.items():
-        contains_range = bloom.might_contain_range
-        start = time.perf_counter()
-        for first in range(0, num_probes, 8):
-            contains_range(first * 97, 256)
-        range_seconds[version] = time.perf_counter() - start
-
-    return {
-        "bloom_add": _entry(add_seconds[FORMAT_V1], add_seconds[FORMAT_V2], len(blocks)),
-        "bloom_probe": _entry(probe_seconds[FORMAT_V1], probe_seconds[FORMAT_V2], len(probes)),
-        "bloom_range_probe": _entry(
-            range_seconds[FORMAT_V1], range_seconds[FORMAT_V2],
-            max(1, num_probes // 8),
-        ),
-    }
-
-
-# --------------------------------------------------------------- page codecs
-
-def _legacy_iter_all(reader) -> Iterator:
-    """The seed's leaf decoder: one struct.unpack + slice per record."""
-    record_class = reader._record_class
-    record_size = reader.record_size
-    for page_index in range(reader.num_leaf_pages):
-        data = reader._read_page(page_index)
-        count, _ = _PAGE_HEADER.unpack_from(data, 0)
-        position = _PAGE_HEADER.size
-        for _ in range(count):
-            yield record_class.unpack(data[position:position + record_size])
-            position += record_size
-
-
-def bench_leaf_decode(num_records: int, num_passes: int) -> dict:
-    backend = MemoryBackend()
-    records = [FromRecord(i, i % 997 + 1, i % 13, 0, i % 31 + 1) for i in range(num_records)]
-    reader = ReadStoreWriter(backend, "bench/from/L0_1", "from").build(iter(records))
-
-    start = time.perf_counter()
-    for _ in range(num_passes):
-        legacy_count = sum(1 for _ in _legacy_iter_all(reader))
-    legacy_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(num_passes):
-        new_count = sum(1 for _ in reader.iter_all())
-    new_seconds = time.perf_counter() - start
-
-    if legacy_count != num_records or new_count != num_records:
-        raise AssertionError("leaf decoders disagree")
-    return _entry(legacy_seconds, new_seconds, num_records * num_passes)
-
-
-def bench_checksum(num_records: int, num_passes: int) -> dict:
-    """Per-page CRC32 verification overhead on the leaf-decode hot path.
-
-    One operation = one record decoded in a full-run scan.  ``legacy`` reads
-    a v1 run -- the pre-checksum format, with nothing to verify; ``new``
-    reads the same records from a v2 run through a checksum-verifying
-    reader.  The "speedup" is therefore the fraction of decode throughput
-    retained with verification on (target >= 0.91, i.e. the CRC check may
-    cost at most ~1.1x).  The v2-without-verification path is reported
-    alongside as ``unverified_us_per_op`` -- the cost of the format alone.
-    """
-    from repro.core.read_store import ReadStoreReader
-
-    backend = MemoryBackend()
-    records = [FromRecord(i, i % 997 + 1, i % 13, 0, i % 31 + 1) for i in range(num_records)]
-    ReadStoreWriter(backend, "bench/from/L0_2", "from", format_version=1).build(iter(records))
-    ReadStoreWriter(backend, "bench/from/L0_3", "from", format_version=2).build(iter(records))
-    readers = {
-        "legacy": ReadStoreReader(backend, "bench/from/L0_2"),
-        "new": ReadStoreReader(backend, "bench/from/L0_3", verify_checksums=True),
-        "unverified": ReadStoreReader(backend, "bench/from/L0_3", verify_checksums=False),
-    }
-
-    seconds = {}
-    counts = {}
-    for label, reader in readers.items():
-        start = time.perf_counter()
-        for _ in range(num_passes):
-            counts[label] = sum(1 for _ in reader.iter_all())
-        seconds[label] = time.perf_counter() - start
-
-    if any(count != num_records for count in counts.values()):
-        raise AssertionError("checksum decode paths disagree")
-    operations = num_records * num_passes
-    entry = _entry(seconds["legacy"], seconds["new"], operations)
-    entry["unverified_us_per_op"] = round(seconds["unverified"] / operations * 1e6, 4)
-    entry["verify_overhead_pct"] = round(
-        (seconds["new"] / seconds["legacy"] - 1.0) * 100, 1)
-    return entry
-
-
-# --------------------------------------------------------------------- merge
-
-def _legacy_merge(iterators: Sequence[Iterator]) -> Iterator:
-    """The seed's merge: tuple-keyed heap calling sort_key() per operation."""
-    import heapq
-
-    heap = []
-    for index, iterator in enumerate(iterators):
-        try:
-            record = next(iterator)
-        except StopIteration:
-            continue
-        heap.append(((record.sort_key(), index), record, iterator))
-    heapq.heapify(heap)
-    while heap:
-        (_, index), record, iterator = heap[0]
-        yield record
-        try:
-            nxt = next(iterator)
-        except StopIteration:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, ((nxt.sort_key(), index), nxt, iterator))
-
-
-def bench_merge(num_runs: int, records_per_run: int) -> dict:
-    runs = []
-    for run_index in range(num_runs):
-        runs.append(sorted(
-            FromRecord((i * num_runs + run_index) * 3 % (records_per_run * 7),
-                       run_index + 1, i % 11, 0, 1)
-            for i in range(records_per_run)
-        ))
-    total = num_runs * records_per_run
-
-    start = time.perf_counter()
-    legacy_count = sum(1 for _ in _legacy_merge([iter(run) for run in runs]))
-    legacy_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    new_count = sum(1 for _ in merge_sorted_runs([iter(run) for run in runs]))
-    new_seconds = time.perf_counter() - start
-
-    if legacy_count != total or new_count != total:
-        raise AssertionError("merge implementations disagree")
-    return _entry(legacy_seconds, new_seconds, total)
-
-
-# ---------------------------------------------------------------------- join
-
-def _make_join_runs(num_keys: int, num_runs: int, seed: int
-                    ) -> Tuple[List[List[FromRecord]], List[List[ToRecord]]]:
-    """Sorted per-run From/To lists shaped like gathered Level-0 runs."""
-    rng = random.Random(seed)
-    from_runs: List[List[FromRecord]] = [[] for _ in range(num_runs)]
-    to_runs: List[List[ToRecord]] = [[] for _ in range(num_runs)]
-    for key_index in range(num_keys):
-        block = key_index * 2
-        inode = rng.randrange(1, 1 << 12)
-        offset = rng.randrange(256)
-        cp = 1
-        for _ in range(rng.randrange(1, 4)):
-            start = cp + rng.randrange(1, 5)
-            from_runs[rng.randrange(num_runs)].append(FromRecord(block, inode, offset, 0, start))
-            if rng.random() < 0.7:
-                end = start + rng.randrange(1, 5)
-                to_runs[rng.randrange(num_runs)].append(ToRecord(block, inode, offset, 0, end))
-                cp = end
-            else:
-                break
-    for runs in (from_runs, to_runs):
-        for run in runs:
-            run.sort()
-    return from_runs, to_runs
-
-
-def _run_slices(runs: Sequence[List], first_block: int, num_blocks: int) -> List[List]:
-    """Each run's records for the block range (what the gather step yields)."""
-    slices = []
-    stop = (first_block + num_blocks,)
-    start = (first_block,)
-    for run in runs:
-        slices.append(run[bisect_left(run, start):bisect_left(run, stop)])
-    return slices
-
-
-def _row_run_slices(runs: Sequence[List[bytes]], first_block: int,
-                    num_blocks: int) -> List[List[bytes]]:
-    """Each row run's slice for the block range (what the row gather yields)."""
-    start = pack_key_prefix(first_block)
-    stop = pack_key_prefix(first_block + num_blocks)
-    return [run[bisect_left(run, start):bisect_left(run, stop)] for run in runs]
-
-
-def bench_join(num_keys: int, num_runs: int) -> dict:
-    """Query-time join: dict re-grouping vs the columnar row merge-join.
-
-    Reported for narrow (64-block), wide (quarter-device) and whole-device
-    range queries; one operation = one range query over ``num_runs`` gathered
-    runs per table.  ``legacy`` is the seed's materialising dict join over
-    flat gathered lists; ``new`` is the production columnar path -- per-run
-    big-endian row slices (the shape ``iter_rows_block_range`` yields),
-    heap-merged as plain byte strings and joined by
-    :func:`~repro.core.columnar.join_rows_for_query` without constructing a
-    single record object.  The ``join_narrow`` shape carries its own >= 1.0
-    target: the row join must hold parity with the materialised join even on
-    point-ish queries, which is what demotes ``narrow_dispatch_max_runs``
-    from a necessity to a fallback.
-    """
-    from_runs, to_runs = _make_join_runs(num_keys, num_runs, seed=99)
-    # The row mirror of the same gathered runs, as the columnar gather
-    # produces them (one conversion at leaf decode, not per query).
-    from_row_runs = [records_to_rows(run, 5) for run in from_runs]
-    to_row_runs = [records_to_rows(run, 5) for run in to_runs]
-    device_blocks = num_keys * 2
-    shapes = {
-        "join_narrow": (64, max(60, num_keys // 200)),
-        "join_wide": (device_blocks // 4, 10),
-        "join_device": (device_blocks, 3),
-    }
-    results = {}
-    for name, (width, num_queries) in shapes.items():
-        rng = random.Random(7)
-        positions = [rng.randrange(0, max(1, device_blocks - width))
-                     for _ in range(num_queries)]
-
-        start = time.perf_counter()
-        legacy_records = 0
-        for position in positions:
-            froms = [r for s in _run_slices(from_runs, position, width) for r in s]
-            tos = [r for s in _run_slices(to_runs, position, width) for r in s]
-            legacy_records += len(materialized_join(froms, tos))
-        legacy_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        new_records = 0
-        for position in positions:
-            from_stream = heapq.merge(
-                *map(iter, _row_run_slices(from_row_runs, position, width)))
-            to_stream = heapq.merge(
-                *map(iter, _row_run_slices(to_row_runs, position, width)))
-            new_records += sum(1 for _ in join_rows_for_query(from_stream, to_stream))
-        new_seconds = time.perf_counter() - start
-
-        if legacy_records != new_records:
-            raise AssertionError(f"join implementations disagree on {name}")
-        results[name] = _entry(legacy_seconds, new_seconds, num_queries)
-    return results
-
-
-# --------------------------------------------------------- narrow dispatch
-
-def _pr1_narrow_query(backlog: Backlog, first_block: int, num_blocks: int):
-    """The raw narrow arm: Bloom-select runs, gather lists, materialise.
-
-    The size-dispatched engine must stay within a few percent of this on
-    narrow queries.  The pipeline itself is the engine's
-    ``_query_materialized`` (one maintained implementation, also driven by
-    the differential tests); what this baseline omits is everything the
-    production ``query_range`` wrapper adds around it -- the dispatch
-    decision, timing and stats accounting.
-    """
-    engine = backlog._query_engine
-    partitions = backlog.partitioner.partitions_for_range(first_block, num_blocks)
-    with engine.catalogue.select() as snapshot:
-        runs = snapshot.runs_for_block_range(partitions, first_block, num_blocks)
-        return engine._query_materialized(snapshot, runs, first_block, num_blocks)
-
-
-def _build_narrow_workload(num_cps: int, refs_per_cp: int) -> Backlog:
-    config = BacklogConfig(partition_size_blocks=1 << 14, track_timing=False)
-    backlog = Backlog(backend=MemoryBackend(), config=config)
-    rng = random.Random(2024)
-    live: List[Tuple[int, int, int]] = []
-    for cp in range(num_cps):
-        for i in range(refs_per_cp):
-            if live and rng.random() < 0.3:
-                backlog.remove_reference(*live.pop(rng.randrange(len(live))))
-            else:
-                entry = (rng.randrange(1 << 16), 1 + i % 64, cp * refs_per_cp + i)
-                backlog.add_reference(*entry)
-                live.append(entry)
-        backlog.checkpoint()
-    backlog.register_clone(1, 0, num_cps // 2)
-    backlog.register_clone(2, 1, num_cps // 2 + 1)
-    backlog.maintain()   # compacted state: narrow ranges hit 1-2 runs
-    return backlog
-
-
-def bench_narrow_dispatch(num_cps: int, refs_per_cp: int, num_queries: int) -> dict:
-    """Narrow (64-block) queries: raw narrow arm vs dispatched vs row pipeline.
-
-    One operation = one 64-block range query against a compacted database
-    (1-2 candidate runs).  ``legacy`` is the raw narrow-arm record pipeline;
-    ``new`` is ``QueryEngine.query_range`` with the default size dispatch,
-    so the "speedup" is the fraction of the baseline the production engine
-    retains (target >= 0.95, i.e. <= ~5% overhead).  The row pipeline
-    (``narrow_dispatch_max_runs=0``) is reported alongside as
-    ``streaming_us_per_op`` -- the constant factor the dispatch reclaims.
-    """
-    from dataclasses import replace
-
-    from repro.core.query import QueryEngine
-
-    backlog = _build_narrow_workload(num_cps, refs_per_cp)
-    engine = backlog._query_engine
-    streaming_engine = QueryEngine(
-        backlog.backend, backlog.run_manager, backlog.partitioner,
-        backlog.ws_from, backlog.ws_to, backlog.clone_graph,
-        backlog.version_authority, backlog.deletion_vector,
-        replace(backlog.config, narrow_dispatch_max_runs=0),
-    )
-    rng = random.Random(11)
-    positions = [rng.randrange(0, (1 << 16) - 64) for _ in range(num_queries)]
-
-    for position in positions[:20]:
-        reference = _pr1_narrow_query(backlog, position, 64)
-        if engine.query_range(position, 64) != reference or \
-                streaming_engine.query_range(position, 64) != reference:
-            raise AssertionError("narrow-query paths disagree")
-
-    # The gate is a few-percent ratio of two ~80 ms loops, and one full
-    # collection over this database's heap costs several percent of a loop:
-    # which loop it lands in depends on how much the sections run before
-    # this one allocated.  Pause collection so the ratio does not.
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        for position in positions:
-            _pr1_narrow_query(backlog, position, 64)
-        legacy_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for position in positions:
-            engine.query_range(position, 64)
-        new_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for position in positions:
-            streaming_engine.query_range(position, 64)
-        streaming_seconds = time.perf_counter() - start
-    finally:
-        gc.enable()
-
-    fast_path = engine.stats.narrow_fast_path_queries
-    if fast_path == 0:
-        raise AssertionError("narrow queries never took the fast path")
-
-    entry = _entry(legacy_seconds, new_seconds, num_queries)
-    entry["streaming_us_per_op"] = round(streaming_seconds / num_queries * 1e6, 4)
-    entry["new_overhead_pct"] = round((new_seconds / legacy_seconds - 1.0) * 100, 1)
-    entry["streaming_overhead_pct"] = round(
-        (streaming_seconds / legacy_seconds - 1.0) * 100, 1)
-    return entry
-
-
-# -------------------------------------------------------------------- cursor
-
-def _build_cursor_workload(num_cps: int, refs_per_cp: int, device_blocks: int,
-                           resume_cache_size: int = 4) -> Backlog:
-    """A wide, multi-run database shaped like a device-wide maintenance scan."""
-    config = BacklogConfig(partition_size_blocks=1 << 14, track_timing=False,
-                           resume_cache_size=resume_cache_size)
-    backlog = Backlog(backend=MemoryBackend(), config=config)
-    rng = random.Random(808)
-    live: List[Tuple[int, int, int]] = []
-    for cp in range(num_cps):
-        for i in range(refs_per_cp):
-            if live and rng.random() < 0.3:
-                backlog.remove_reference(*live.pop(rng.randrange(len(live))))
-            else:
-                entry = (rng.randrange(device_blocks), 1 + i % 64, cp * refs_per_cp + i)
-                backlog.add_reference(*entry)
-                live.append(entry)
-        backlog.checkpoint()
-    return backlog
-
-
-def _drain_pages(backlog: Backlog, num_blocks: int, page_size: int,
-                 collect: bool = False) -> List:
-    """One whole-range scan through resume-token pagination.
-
-    The single definition of the paginated access pattern every cursor
-    measurement below drives (the same loop ``analysis/metrics.py``'s
-    ``measure_paginated_scan`` reports on).  ``collect`` accumulates the
-    union for the verification pass; the timing and memory measurements
-    leave it off -- a paginated consumer holds one page at a time, and
-    accumulating would put the full materialised result back into the
-    transient working set this section exists to show is flat.
-    """
-    spec = QuerySpec(first_block=0, num_blocks=num_blocks, limit=page_size)
-    results: List = []
-    token = None
-    while True:
-        page = backlog.select(spec.after(token))
-        if collect:
-            results.extend(page)
-        else:
-            for _ in page:
-                pass
-        token = page.resume_token
-        if token is None:
-            return results
-
-
-def _scan_transients(backlog: Backlog, num_blocks: int, page_size: int) -> Tuple[int, int]:
-    """``(legacy, new)`` transient working sets for one scan of the range.
-
-    Transient = tracemalloc peak minus what is still allocated when the scan
-    finishes (the page cache the scan populated, which grows with the range
-    for *both* sides and would otherwise drown the comparison): for the
-    materialised ``query_range`` that excess is the full result list, for the
-    paginated cursor it is at most one page of back references.
-    """
-    backlog.clear_caches()
-    tracemalloc.start()
-    backlog.query_range(0, num_blocks)
-    current, peak = tracemalloc.get_traced_memory()
-    legacy_transient = peak - current
-    tracemalloc.stop()
-
-    backlog.clear_caches()
-    tracemalloc.start()
-    _drain_pages(backlog, num_blocks, page_size)
-    current, peak = tracemalloc.get_traced_memory()
-    new_transient = peak - current
-    tracemalloc.stop()
-    return legacy_transient, new_transient
-
-
-def bench_cursor(num_cps: int, refs_per_cp: int, device_blocks: int,
-                 page_size: int, num_queries: int) -> dict:
-    """The cursor surface: early-exit ``.first()`` and paginated scans.
-
-    ``first``: one operation = one whole-device existence check.  ``legacy``
-    materialises the full answer (``query_range`` over the device, the only
-    thing the pre-cursor API offered) and takes its first element; ``new``
-    opens a cursor and calls ``.first()``, which abandons the streaming chain
-    after one reference group.  The speedup is the fraction of the device the
-    early exit never reads.
-
-    ``paginated_scan``: one operation = one whole-device scan that returns
-    every back reference.  ``legacy`` is one materialised ``query_range``;
-    ``new`` drives ``limit=page_size`` cursors through the resume-token loop.
-    The ``*_transient_growth`` fields compare each side's tracemalloc peak at
-    half and full device width: the paginated cursor holds at most one page
-    (growth ~1.0) while the materialised result tracks the device size.
-
-    ``resume_cache``: one operation = one whole-device paginated scan with a
-    deliberately small page size (many re-entries).  ``legacy`` runs with
-    ``resume_cache_size=0``, so every resumed page re-runs the Bloom
-    prefilter over the remaining range and re-seeks every run in the active
-    partition; ``new`` is the session-scoped resume cache, which parks each
-    full page's suspended pipeline under its token and continues it when the
-    next page asks.  Both instances hold identical databases and their page
-    unions are verified equal before timing.
-    """
-    backlog = _build_cursor_workload(num_cps, refs_per_cp, device_blocks)
-    uncached = _build_cursor_workload(num_cps, refs_per_cp, device_blocks,
-                                      resume_cache_size=0)
-
-    spec = QuerySpec(first_block=0, num_blocks=device_blocks)
-    reference = backlog.query_range(0, device_blocks)
-    if _drain_pages(backlog, device_blocks, page_size, collect=True) != reference or \
-            backlog.select(spec).first() != reference[0]:
-        raise AssertionError("cursor and materialised answers disagree")
-
-    backlog.clear_caches()
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        backlog.query_range(0, device_blocks)[0]
-    full_seconds = time.perf_counter() - start
-
-    backlog.clear_caches()
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        backlog.select(spec).first()
-    first_seconds = time.perf_counter() - start
-
-    first_entry = _entry(full_seconds, first_seconds, num_queries)
-    first_entry["device_blocks"] = device_blocks
-
-    backlog.clear_caches()
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        backlog.query_range(0, device_blocks)
-    legacy_scan_seconds = time.perf_counter() - start
-
-    backlog.clear_caches()
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        _drain_pages(backlog, device_blocks, page_size)
-    paginated_seconds = time.perf_counter() - start
-
-    transients = {
-        label: _scan_transients(backlog, width, page_size)
-        for label, width in (("half", device_blocks // 2), ("full", device_blocks))
-    }
-
-    scan_entry = _entry(legacy_scan_seconds, paginated_seconds, num_queries)
-    scan_entry["page_size"] = page_size
-    # Pages the timed loop actually drives: every scan ends on a short (or,
-    # at an exact multiple of the page size, empty) final page whose
-    # exhaustion produces the terminating None token.
-    scan_entry["pages_per_scan"] = len(reference) // page_size + 1
-    scan_entry["legacy_transient_bytes"] = transients["full"][0]
-    scan_entry["new_transient_bytes"] = transients["full"][1]
-    scan_entry["legacy_transient_growth"] = round(
-        transients["full"][0] / transients["half"][0], 2)
-    scan_entry["new_transient_growth"] = round(
-        transients["full"][1] / transients["half"][1], 2)
-
-    # Resumed-page cost: cached parked pipelines vs the uncached re-seek
-    # path, over identical databases and a small page size.
-    resume_page_size = page_size // 4
-    if _drain_pages(uncached, device_blocks, resume_page_size, collect=True) != \
-            _drain_pages(backlog, device_blocks, resume_page_size, collect=True):
-        raise AssertionError("cached and uncached paginated scans disagree")
-
-    uncached.clear_caches()
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        _drain_pages(uncached, device_blocks, resume_page_size)
-    uncached_seconds = time.perf_counter() - start
-
-    backlog.clear_caches()
-    hits_before = backlog.stats.query.resume_cache_hits
-    start = time.perf_counter()
-    for _ in range(num_queries):
-        _drain_pages(backlog, device_blocks, resume_page_size)
-    cached_seconds = time.perf_counter() - start
-
-    resume_entry = _entry(uncached_seconds, cached_seconds, num_queries)
-    resume_entry["page_size"] = resume_page_size
-    resume_entry["pages_per_scan"] = len(reference) // resume_page_size + 1
-    resume_entry["cache_hits_per_scan"] = (
-        (backlog.stats.query.resume_cache_hits - hits_before) // num_queries)
-    return {"first": first_entry, "paginated_scan": scan_entry,
-            "resume_cache": resume_entry}
 
 
 # ------------------------------------------------------------ parallel flush
@@ -1059,51 +437,6 @@ def bench_disk_backend(num_files: int, pages_per_file: int) -> dict:
     return entry
 
 
-# --------------------------------------------------------------------- cache
-
-def _scan_invalidate(cache: PageCache, name: str) -> None:
-    """The seed's invalidate_file: a full scan over every cached entry."""
-    stale = [key for key in cache._entries if key[0] == name]
-    for key in stale:
-        del cache._entries[key]
-
-
-def bench_cache_invalidate(num_files: int, pages_per_file: int) -> dict:
-    """File invalidation after compaction: full-cache scan vs per-file index.
-
-    One operation = one ``invalidate_file`` call on a cache holding
-    ``num_files * pages_per_file`` pages.
-    """
-    backend = MemoryBackend()
-    page_files = []
-    for index in range(num_files):
-        page_file = backend.create(f"p{index:06d}/from/L0_{index:010d}")
-        for page in range(pages_per_file):
-            page_file.append_page(bytes([index % 256]) * 32)
-        page_files.append(page_file)
-
-    capacity = num_files * pages_per_file * PAGE_SIZE
-    caches = {"legacy": PageCache(capacity), "new": PageCache(capacity)}
-    for cache in caches.values():
-        for page_file in page_files:
-            for page in range(pages_per_file):
-                cache.read_page(page_file, page)
-
-    start = time.perf_counter()
-    for page_file in page_files:
-        _scan_invalidate(caches["legacy"], page_file.name)
-    legacy_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for page_file in page_files:
-        caches["new"].invalidate_file(page_file.name)
-    new_seconds = time.perf_counter() - start
-
-    if len(caches["legacy"]) != 0 or len(caches["new"]) != 0:
-        raise AssertionError("cache invalidation implementations disagree")
-    return _entry(legacy_seconds, new_seconds, num_files)
-
-
 # ------------------------------------------------------------------- harness
 
 def _entry(legacy_seconds: float, new_seconds: float, operations: int) -> dict:
@@ -1115,112 +448,43 @@ def _entry(legacy_seconds: float, new_seconds: float, operations: int) -> dict:
     }
 
 
-def _flat_entries(results: dict) -> Iterator[Tuple[str, dict]]:
-    """``(dotted_name, entry)`` pairs, descending into nested sections.
+def run() -> dict:
+    """Every section at the one size its target was calibrated against.
 
-    Sections like ``cursor`` group several comparison entries under one key;
-    the report printer and the target check address them as ``cursor.first``.
+    Each comparison is a ratio against fixed simulated device time, real
+    worker processes or real-filesystem syscalls: a shrunk workload would
+    let per-checkpoint, process-spawn or per-file constants swamp the
+    overlap being measured, so there is no smaller CI size.
     """
-    for name, entry in results.items():
-        if "legacy_us_per_op" in entry:
-            yield name, entry
-        else:
-            for sub_name, sub_entry in entry.items():
-                yield f"{name}.{sub_name}", sub_entry
-
-
-def run(quick: bool) -> dict:
-    scale = 1 if quick else 4
-    # Sections feeding a --check target never shrink: each target is
-    # calibrated against the full workload, and CI gates on --quick runs, so
-    # a shrunk gated section would verify a number the target was never set
-    # for.  Ungated sections still scale down; every entry is stamped with
-    # the ``quick`` flag it was actually measured at so the gate can refuse
-    # to compare shrunk numbers.
-    gated_scale = 4
-    results = {
-        **bench_bloom(num_items=8_000 * gated_scale,
-                      num_probes=20_000 * gated_scale),
-        "leaf_decode": bench_leaf_decode(
-            num_records=20_000 * scale, num_passes=2),
-        "checksum": bench_checksum(
-            num_records=20_000 * gated_scale, num_passes=2),
-        "merge_sorted_runs": bench_merge(
-            num_runs=8, records_per_run=2_500 * scale),
-        # The join workload is not scaled down in quick mode: the merge-join's
-        # advantage over the dict+global-sort path grows with input size, so
-        # a shrunk workload would under-report the speedup the wide-range
-        # target is calibrated against.  The section costs only a few seconds.
-        **bench_join(num_keys=80_000, num_runs=8),
-        # Like the join section, the narrow-dispatch workload keeps its full
-        # size in quick mode: the comparison is a per-query constant factor
-        # and shrinking the database would mostly measure build time anyway.
-        "narrow_dispatch": bench_narrow_dispatch(
-            num_cps=6, refs_per_cp=4_000, num_queries=400),
-        # The cursor section also keeps its full size in quick mode: the
-        # early-exit speedup scales with the device width a ``.first()``
-        # never reads, so a shrunk device would under-report against the
-        # 5x target the section is calibrated for.
-        "cursor": bench_cursor(
-            num_cps=6, refs_per_cp=4_000, device_blocks=1 << 16,
-            page_size=512, num_queries=4),
-        # The parallel-flush workload keeps its full size in quick mode too:
-        # the comparison is against a fixed simulated device time, and a
-        # shrunk workload would let per-checkpoint constant costs swamp the
-        # overlap the 1.5x target is calibrated against.
+    return {
         "flush_parallel": bench_flush_parallel(
             num_cps=6, refs_per_cp=4_000, workers=4),
-        # The fan-out comparison is also a ratio against fixed simulated
-        # device time, so it too keeps its full size in quick mode -- a
-        # shrunk database would leave too few pages per partition for the
-        # gather overlap the 1.5x target is calibrated against.
         "query_fanout": bench_query_fanout(
             num_cps=6, refs_per_cp=4_000, workers=4, num_queries=4),
-        # The shard-scale comparison is a ratio of two identical client
-        # workloads against real worker processes, so it keeps its full
-        # size in quick mode -- shrinking it would let process spawn and
-        # channel framing constants swamp the compute overlap the 1.5x
-        # target is calibrated against.
         "shard_scale": bench_shard_scale(
             num_blocks=4096, owners_per_block=6, chain_depth=48,
             num_queries=600, num_threads=3),
-        # Real-filesystem I/O: constant-size in quick mode, since the
-        # open/close-per-page overhead being measured is a per-op constant.
         "disk_backend": bench_disk_backend(num_files=16, pages_per_file=256),
-        "cache_invalidate": bench_cache_invalidate(
-            num_files=60 * scale, pages_per_file=48),
     }
-    # Only these sections actually used the shrunk ``scale`` above; entries
-    # that ride along in a gated bench call (e.g. ``bloom_add`` next to the
-    # gated ``bloom_probe``) were measured full-size and are stamped so.
-    scaled_sections = frozenset(
-        ("leaf_decode", "merge_sorted_runs", "cache_invalidate"))
-    for name, entry in _flat_entries(results):
-        entry["quick"] = bool(quick and name.split(".", 1)[0] in scaled_sections)
-    return results
 
 
 def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads (used by CI)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero when speedup targets are missed")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="where to write the JSON report")
     args = parser.parse_args(argv)
 
-    results = run(quick=args.quick)
+    results = run()
     report = {
         "benchmark": "hotpath",
-        "quick": args.quick,
         "python": sys.version.split()[0],
         "unix_time": int(time.time()),
         "comparison": (
-            "legacy = baselines (MD5 Bloom hashing, per-record unpack, "
-            "tuple-keyed heap merge, materialized_join dict re-grouping, "
-            "scan-based cache invalidation, raw narrow-arm record pipeline, "
-            "materialising query_range list surface); new = current hot paths"
+            "legacy = serial executors (flush_workers=1, query_workers=1), a "
+            "single-shard cluster, open/append/close-per-page file writes; "
+            "new = the parallel executors, 3 shard processes, batched writes"
         ),
         "targets": TARGETS,
         "results": results,
@@ -1229,26 +493,16 @@ def main(argv: Sequence[str] = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    entries = dict(_flat_entries(results))
-    width = max(len(name) for name in entries)
-    print(f"hotpath microbenchmark ({'quick' if args.quick else 'full'} mode)")
-    for name, entry in entries.items():
+    width = max(len(name) for name in results)
+    print("hotpath microbenchmark")
+    for name, entry in results.items():
         print(f"  {name:<{width}}  legacy {entry['legacy_us_per_op']:>9.3f} us/op"
               f"  new {entry['new_us_per_op']:>9.3f} us/op"
               f"  speedup {entry['speedup']:>6.2f}x")
     print(f"wrote {os.path.abspath(args.output)}")
 
-    # Gated entries must have been measured full-size: run() stamps every
-    # entry with the scale it actually ran at, and a gated number measured
-    # on a shrunk workload would verify nothing its target was set for.
-    shrunk = [name for name in TARGETS if entries[name].get("quick") is not False]
-    if shrunk:
-        print(f"gated sections measured at quick scale: {', '.join(shrunk)}")
-        if args.check:
-            return 1
-
     failed = [name for name, minimum in TARGETS.items()
-              if entries[name]["speedup"] < minimum]
+              if results[name]["speedup"] < minimum]
     if failed:
         print(f"targets missed: {', '.join(failed)}")
         if args.check:

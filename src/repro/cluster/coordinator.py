@@ -110,23 +110,21 @@ class ClusterQueryResult:
     sorted and ``.first()`` on a whole-device range contacts only the shard
     owning the first partition.
 
-    Tokens minted here are shard-extended (v2): the owner identity plus the
-    emitting shard index.  Routing on resume is still by block -- the shard
-    component is diagnostic -- so cluster tokens also resume correctly on a
-    single-process Backlog and vice versa.
+    Tokens minted here are the engine's own: the owner identity, nothing
+    about shards.  Routing on resume is by block, so cluster tokens also
+    resume correctly on a single-process Backlog, on a cluster with another
+    shard count, and vice versa.
     """
 
     def __init__(self, cluster: "ShardedBacklog", spec: QuerySpec) -> None:
         self._cluster = cluster
         self.spec = spec
-        self._stream: Optional[Iterator[Tuple[int, List[BackReference]]]] = None
+        self._stream: Optional[Iterator[List[BackReference]]] = None
         #: The shard reply being handed out, and how much of it already was.
         self._page: List[BackReference] = []
         self._page_pos = 0
-        self._page_shard: Optional[int] = None
         self._emitted = 0
         self._last: Optional[BackReference] = None
-        self._last_shard: Optional[int] = None
         self._exhausted = False
         self._page_full = False
 
@@ -145,14 +143,14 @@ class ClusterQueryResult:
                 if spec.limit is not None:
                     spec = spec.with_limit(spec.limit - self._emitted)
             self._stream = self._cluster._scatter(spec)
-        reply = next(self._stream, None)
-        if reply is None:
+        page = next(self._stream, None)
+        if page is None:
             limit = self.spec.limit
             if limit is None or self._emitted < limit:
                 self._exhausted = True
             self._stream = None
             return False
-        self._page_shard, self._page = reply
+        self._page = page
         self._page_pos = 0
         return True
 
@@ -161,7 +159,6 @@ class ClusterQueryResult:
         self._page_pos += count
         self._emitted += count
         self._last = self._page[self._page_pos - 1]
-        self._last_shard = self._page_shard
         if self.spec.limit is not None and self._emitted >= self.spec.limit:
             self._page_full = True
             self.close()
@@ -235,7 +232,7 @@ class ClusterQueryResult:
             return None
         if self._last is None:
             return self.spec.resume_token
-        return encode_resume_token(self._last, shard=self._last_shard)
+        return encode_resume_token(self._last)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "exhausted" if self._exhausted else f"emitted={self._emitted}"
@@ -718,10 +715,10 @@ class ShardedBacklog(ReferenceListener):
     def query_stats(self):
         return self.stats.query
 
-    def _scatter(self, spec: QuerySpec) -> Iterator[Tuple[int, List[BackReference]]]:
+    def _scatter(self, spec: QuerySpec) -> Iterator[List[BackReference]]:
         """Per-partition sub-queries against the owning shards, in order.
 
-        Yields ``(shard, results)`` once per non-empty reply: the reply's
+        Yields the results of each non-empty reply: the reply's
         list moves to the cursor whole (no reply ever exceeds what is left
         of ``spec.limit``, so nothing is ever trimmed from one).
 
@@ -771,7 +768,7 @@ class ShardedBacklog(ReferenceListener):
                     self.stats.query.add_counters(delta)
                 results = reply["results"]
                 if results:
-                    yield shard, results
+                    yield results
                     if remaining is not None:
                         remaining -= len(results)
                         if remaining <= 0:

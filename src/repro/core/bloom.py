@@ -21,35 +21,28 @@ Hashing
 -------
 Filters hash 64-bit block numbers with a splitmix64-style multiplicative
 mixer (two multiply/xor-shift rounds producing the ``h1 + i * h2`` double
-hashing pair).  This replaced an MD5-based scheme: an integer mixer costs a
-handful of arithmetic operations per key instead of a full cryptographic
-digest, which matters because the filter is probed on every query and fed on
-every flush.
+hashing pair): a handful of arithmetic operations per key, which matters
+because the filter is probed on every query and fed on every flush.
 
-Serialization format versions
------------------------------
-Two on-disk layouts exist, distinguished by :meth:`BloomFilter.from_bytes`:
-
-* **Version 1 (legacy)** -- header ``<QQQ`` = ``(num_bits, num_hashes,
-  num_items)`` followed by the bit array.  Filters serialized in this layout
-  were built with MD5-based double hashing, so a deserialized version-1
-  filter keeps probing with MD5 (``hash_version == 1``): existing serialized
-  runs stay queryable with no false negatives.
-* **Version 2 (current)** -- header ``<QQQQ`` = ``(magic | version,
-  num_bits, num_hashes, num_items)`` followed by the bit array.  The first
-  field carries ``_FORMAT_MAGIC_BASE`` in its upper bytes and the format
-  version in its low byte; a legacy header can never collide with it because
-  its first field (``num_bits``) is always a power of two.
+Serialization format
+--------------------
+One layout: header ``<QQQQ`` = ``(magic | version, num_bits, num_hashes,
+num_items)`` followed by the bit array.  The first field
+(``_FORMAT_MAGIC``) carries the ASCII bytes ``BLOOMV`` in its upper bytes and
+the format version (2) in its low byte.  :meth:`BloomFilter.from_bytes`
+raises :class:`ValueError` for any blob that does not start with exactly that
+field: the hash scheme is part of the format, so bits written under another
+one cannot be probed safely.
 
 Range probes
 ------------
-Version-2 filters additionally insert one *stride key* per
-``2**STRIDE_SHIFT``-block aligned group a block falls into.  A range query
-over hundreds of blocks then probes the filter once per aligned stride
+Besides its block key, every block inserts one *stride key* per
+``2**STRIDE_SHIFT``-block aligned group it falls into.  A range query over
+hundreds of blocks then probes the filter once per aligned stride
 overlapping the range instead of once per block (``num_hashes`` bit tests
 per probe either way), at the cost of up to a stride's worth of slack at the
-range edges.  Version-1 filters have no stride keys and fall back to
-per-block probing.  :func:`range_probe_keys` is that rule as data: the keys a
+range edges; ranges of at most ``_PER_BLOCK_RANGE_LIMIT`` blocks are still
+asked per block.  :func:`range_probe_keys` is that rule as data: the keys a
 range asks about, of which any one present admits the range.
 
 Banks
@@ -57,7 +50,7 @@ Banks
 A query over an aged database asks the same question of every run of a
 partition, and a filter per run answers it one interpreted probe at a time.
 :class:`BloomFilterBank` holds the bit arrays of same-shaped filters
-(``hash_version``, ``num_bits``, ``num_hashes``) end to end, so one key's bit
+(``num_bits``, ``num_hashes``) end to end, so one key's bit
 position is the same in every member and a strided slice
 ``joined[position >> 3::nbytes]`` picks that byte out of all of them in one C
 pass.  The key is hashed once (:func:`hash_pair`), and ``num_hashes`` slices,
@@ -70,7 +63,6 @@ remain the per-filter reference the bank is tested against.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -80,8 +72,6 @@ __all__ = [
     "BloomFilterBank",
     "DEFAULT_FILTER_BITS",
     "COMBINED_FILTER_BITS",
-    "FORMAT_V1",
-    "FORMAT_V2",
     "STRIDE_SHIFT",
     "MAX_RANGE_BLOCKS",
     "fit_bits",
@@ -94,17 +84,11 @@ DEFAULT_FILTER_BITS = 32 * 1024 * 8
 #: Maximum filter size used for the Combined read store (1 MB of bits).
 COMBINED_FILTER_BITS = 1024 * 1024 * 8
 
-#: Legacy serialization layout (MD5 double hashing, no stride keys).
-FORMAT_V1 = 1
-#: Current serialization layout (splitmix64 double hashing + stride keys).
-FORMAT_V2 = 2
-
 #: Range probes test one key per 2**STRIDE_SHIFT-block aligned stride.
 STRIDE_SHIFT = 6
 
 #: Ranges wider than this short-circuit to True (the cost of a false
-#: negative-free answer would exceed just reading the run).  Kept at the
-#: paper-era value so run-probing behaviour is unchanged across versions.
+#: negative-free answer would exceed just reading the run).
 MAX_RANGE_BLOCKS = 256
 
 #: Below this width a range query probes per block: a stride probe carries up
@@ -112,12 +96,11 @@ MAX_RANGE_BLOCKS = 256
 #: dominate the false-positive rate of a narrow range.
 _PER_BLOCK_RANGE_LIMIT = 16
 
-_HEADER_V1 = struct.Struct("<QQQ")   # num_bits, num_hashes, num_items
-_HEADER_V2 = struct.Struct("<QQQQ")  # magic|version, num_bits, num_hashes, num_items
-_U64 = struct.Struct("<Q")
+_HEADER = struct.Struct("<QQQQ")  # magic|version, num_bits, num_hashes, num_items
 
-#: Upper seven bytes of the version-2 header's first field ("BLOOMV\0").
-_FORMAT_MAGIC_BASE = 0x424C4F4F4D560000
+#: First header field of every serialized filter: "BLOOMV" + NUL in the upper
+#: seven bytes, the format version in the low byte.
+_FORMAT_MAGIC = 0x424C4F4F4D560000 | 2
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,12 +113,14 @@ _STRIDE_SEED = 0x8C95B8C1F0F2D3E5
 _popcount = int.bit_count if hasattr(int, "bit_count") else lambda value: bin(value).count("1")
 
 
-def _hash_pair(key: int) -> Tuple[int, int]:
+def hash_pair(key: int) -> Tuple[int, int]:
     """Splitmix64 double-hashing pair ``(h1, h2)`` for a 64-bit key.
 
     One full splitmix64 finalizer round; ``h1`` is the mixed value and
     ``h2`` its upper half (made odd), so the ``h1 + i * h2`` probe sequence
-    draws both legs from independent, well-mixed bits.
+    draws both legs from independent, well-mixed bits.  The ``i``-th bit a
+    filter of ``num_bits`` bits tests or sets for the key is
+    ``(h1 + i * h2) & (num_bits - 1)``, so one pair serves every filter size.
     """
     z = (key + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -155,33 +140,16 @@ def fit_bits(num_keys: int, bits_per_item: int = 10, min_bits: int = 1024) -> in
     return 1 << (max(min_bits, num_keys * bits_per_item, 8) - 1).bit_length()
 
 
-def _md5_pair(key: int) -> Tuple[int, int]:
-    """Legacy double-hashing pair derived from one MD5 digest."""
-    digest = hashlib.md5(key.to_bytes(8, "little", signed=False)).digest()
-    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little") | 1
-
-
-def hash_pair(key: int, hash_version: int = FORMAT_V2) -> Tuple[int, int]:
-    """The double-hashing pair a filter of ``hash_version`` derives from ``key``.
-
-    The ``i``-th bit a filter of ``num_bits`` bits tests or sets for the key
-    is ``(h1 + i * h2) & (num_bits - 1)``, so the pair depends on the key and
-    the hash scheme only: one pair serves every filter size.
-    """
-    return _hash_pair(key) if hash_version == FORMAT_V2 else _md5_pair(key)
-
-
-def range_probe_keys(first_block: int, num_blocks: int,
-                     hash_version: int = FORMAT_V2) -> Iterable[int]:
+def range_probe_keys(first_block: int, num_blocks: int) -> Iterable[int]:
     """The keys a filter is asked about for ``[first_block, first_block + num_blocks)``.
 
-    Any one of them present admits the range.  Version-2 filters answer
-    ranges wider than ``_PER_BLOCK_RANGE_LIMIT`` from the stride key of every
-    aligned stride the range overlaps; narrower ranges, and version-1 filters
-    at any width, are asked about each block.  Only meaningful up to
-    :data:`MAX_RANGE_BLOCKS`: wider ranges are admitted unasked.
+    Any one of them present admits the range.  Ranges wider than
+    ``_PER_BLOCK_RANGE_LIMIT`` are answered from the stride key of every
+    aligned stride the range overlaps; narrower ranges are asked about each
+    block.  Only meaningful up to :data:`MAX_RANGE_BLOCKS`: wider ranges are
+    admitted unasked.
     """
-    if hash_version == FORMAT_V2 and num_blocks > _PER_BLOCK_RANGE_LIMIT:
+    if num_blocks > _PER_BLOCK_RANGE_LIMIT:
         first_stride = first_block >> STRIDE_SHIFT
         last_stride = (first_block + num_blocks - 1) >> STRIDE_SHIFT
         return [stride ^ _STRIDE_SEED for stride in range(first_stride, last_stride + 1)]
@@ -194,31 +162,22 @@ class BloomFilter:
     The filter hashes 64-bit block numbers.  Membership tests never produce
     false negatives; the false-positive rate depends on the bit size and the
     number of inserted items.
-
-    ``hash_version`` selects the hashing scheme: 2 (default) is the cheap
-    splitmix64 mixer with stride keys for range probes, 1 is the legacy MD5
-    scheme kept so deserialized version-1 filters -- and benchmark baselines
-    -- keep their original behaviour.
     """
 
-    def __init__(self, num_bits: int = DEFAULT_FILTER_BITS, num_hashes: int = 4,
-                 hash_version: int = FORMAT_V2) -> None:
+    def __init__(self, num_bits: int = DEFAULT_FILTER_BITS, num_hashes: int = 4) -> None:
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
         if num_hashes <= 0:
             raise ValueError("num_hashes must be positive")
-        if hash_version not in (FORMAT_V1, FORMAT_V2):
-            raise ValueError(f"unknown hash_version {hash_version}")
         # Round the size up to a power of two so the filter can be halved.
         self.num_bits = 1 << (num_bits - 1).bit_length()
         self.num_hashes = num_hashes
-        self.hash_version = hash_version
         self._bits = bytearray(self.num_bits // 8)
         self.num_items = 0
-        # Distinct keys actually hashed into the filter (block keys plus, on
-        # v2, stride keys).  Drives shrink_to_fit sizing: a v2 filter over
-        # scattered blocks inserts up to two keys per item and must not be
-        # shrunk as if it held one.
+        # Distinct keys actually hashed into the filter (block keys plus
+        # stride keys).  Drives shrink_to_fit sizing: a filter over scattered
+        # blocks inserts up to two keys per item and must not be shrunk as if
+        # it held one.
         self._keys_inserted = 0
 
     # ------------------------------------------------------------ interface
@@ -231,16 +190,12 @@ class BloomFilter:
         """Bulk insert.  Consecutive duplicate blocks are hashed only once.
 
         The read-store builder feeds this the (block-sorted) record stream of
-        a run, where long runs of records share one physical block -- and,
-        on v2, one aligned stride; skipping the repeat hashing makes the
-        flush cheaper without changing the bit array.  ``num_items`` still
-        counts every supplied item so filter sizing matches the legacy
-        per-record behaviour.
+        a run, where long runs of records share one physical block -- and
+        one aligned stride; skipping the repeat hashing makes the flush
+        cheaper without changing the bit array.  ``num_items`` still counts
+        every supplied item, so filter sizing follows the record count.
         """
         self._insert_blocks(blocks)
-
-    # Backwards-compatible alias.
-    add_all = add_many
 
     def bulk_adder(self) -> "BloomBulkAdder":
         """A stateful bulk inserter that deduplicates *across* chunks.
@@ -259,7 +214,7 @@ class BloomFilter:
 
     def might_contain(self, block: int) -> bool:
         """True if ``block`` may have been inserted (no false negatives)."""
-        h1, h2 = _hash_pair(block) if self.hash_version == FORMAT_V2 else _md5_pair(block)
+        h1, h2 = hash_pair(block)
         bits = self._bits
         mask = self.num_bits - 1
         for _ in range(self.num_hashes):
@@ -272,17 +227,16 @@ class BloomFilter:
     def might_contain_range(self, first_block: int, num_blocks: int) -> bool:
         """True if any block in ``[first_block, first_block + num_blocks)`` may be present.
 
-        Version-2 filters answer wide ranges with one probe per aligned
-        ``2**STRIDE_SHIFT``-block stride (see the module docstring); narrow
-        ranges and legacy filters probe per block.  Ranges wider than
-        ``MAX_RANGE_BLOCKS`` short-circuit to ``True``.
+        Wide ranges are answered with one probe per aligned
+        ``2**STRIDE_SHIFT``-block stride (see the module docstring), narrow
+        ones per block.  Ranges wider than ``MAX_RANGE_BLOCKS`` short-circuit
+        to ``True``.
         """
         if num_blocks <= 0:
             return False
         if num_blocks > MAX_RANGE_BLOCKS:
             return True
-        return any(map(self.might_contain,
-                       range_probe_keys(first_block, num_blocks, self.hash_version)))
+        return any(map(self.might_contain, range_probe_keys(first_block, num_blocks)))
 
     # ------------------------------------------------------------- resizing
 
@@ -313,8 +267,8 @@ class BloomFilter:
         Runs flushed during quiet periods contain far fewer than 32 000
         records; shrinking their filters saves memory without a meaningful
         increase in false positives.  Sizing honours whichever is larger of
-        the item count and the keys actually hashed, so a version-2 filter
-        over scattered blocks (whose stride keys nearly double the inserted
+        the item count and the keys actually hashed, so a filter over
+        scattered blocks (whose stride keys nearly double the inserted
         keys) is not shrunk below its real load.  :func:`fit_bits` is the
         sizing rule, shared with writers that size the filter up front.
         """
@@ -324,61 +278,42 @@ class BloomFilter:
     # -------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
-        """Serialize the filter (stored alongside its read-store run).
-
-        A version-1 filter serializes in the legacy layout so a round trip
-        through ``from_bytes`` is lossless in both directions.
-        """
-        if self.hash_version == FORMAT_V1:
-            header = _HEADER_V1.pack(self.num_bits, self.num_hashes, self.num_items)
-        else:
-            header = _HEADER_V2.pack(
-                _FORMAT_MAGIC_BASE | FORMAT_V2, self.num_bits, self.num_hashes, self.num_items
-            )
+        """Serialize the filter (stored alongside its read-store run)."""
+        header = _HEADER.pack(_FORMAT_MAGIC, self.num_bits, self.num_hashes, self.num_items)
         return header + bytes(self._bits)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
-        """Deserialize either format version, validating the header.
+        """Deserialize a :meth:`to_bytes` blob, validating the header.
 
-        Raises :class:`ValueError` on corrupt input: short or truncated
-        blobs, a non-power-of-two bit count, an implausible hash count, or an
-        unknown format version.  Trailing padding after the bit array is
-        tolerated (run files store the filter in whole pages).
+        Raises :class:`ValueError` on foreign or corrupt input: short or
+        truncated blobs, a first field that is not this format's magic and
+        version, a non-power-of-two bit count, or an implausible hash count.
+        Trailing padding after the bit array is tolerated (run files store
+        the filter in whole pages).
         """
-        if len(data) < _HEADER_V1.size:
-            raise ValueError("Bloom filter blob shorter than any known header")
-        (first_field,) = _U64.unpack_from(data, 0)
-        if first_field & ~0xFF == _FORMAT_MAGIC_BASE:
-            version = first_field & 0xFF
-            if version != FORMAT_V2:
-                raise ValueError(f"unsupported Bloom filter format version {version}")
-            if len(data) < _HEADER_V2.size:
-                raise ValueError("truncated version-2 Bloom filter header")
-            _, num_bits, num_hashes, num_items = _HEADER_V2.unpack_from(data, 0)
-            header_size = _HEADER_V2.size
-        else:
-            version = FORMAT_V1
-            num_bits, num_hashes, num_items = _HEADER_V1.unpack_from(data, 0)
-            header_size = _HEADER_V1.size
+        if len(data) < _HEADER.size:
+            raise ValueError("Bloom filter blob shorter than its header")
+        magic, num_bits, num_hashes, num_items = _HEADER.unpack_from(data, 0)
+        if magic != _FORMAT_MAGIC:
+            raise ValueError(f"not a version-2 Bloom filter blob (first field {magic:#x})")
         if num_bits < 8 or num_bits & (num_bits - 1):
             raise ValueError(f"corrupt Bloom filter: num_bits={num_bits} is not a power of two >= 8")
         if not 1 <= num_hashes <= 64:
             raise ValueError(f"corrupt Bloom filter: implausible num_hashes={num_hashes}")
         payload_size = num_bits // 8
-        if len(data) - header_size < payload_size:
+        if len(data) - _HEADER.size < payload_size:
             raise ValueError(
                 f"truncated Bloom filter: need {payload_size} payload bytes, "
-                f"have {len(data) - header_size}"
+                f"have {len(data) - _HEADER.size}"
             )
         instance = cls.__new__(cls)
         instance.num_bits = num_bits
         instance.num_hashes = num_hashes
         instance.num_items = num_items
-        instance.hash_version = version
         # Not serialized; a conservative reconstruction for any later shrink.
-        instance._keys_inserted = num_items * (2 if version == FORMAT_V2 else 1)
-        instance._bits = bytearray(data[header_size:header_size + payload_size])
+        instance._keys_inserted = num_items * 2
+        instance._bits = bytearray(data[_HEADER.size:_HEADER.size + payload_size])
         return instance
 
     # ----------------------------------------------------------- statistics
@@ -395,9 +330,9 @@ class BloomFilter:
         """False-positive probability estimated from the observed fill.
 
         Computed as ``fill_ratio() ** num_hashes`` rather than from the
-        analytic ``num_items`` formula, so it stays accurate for version-2
-        filters whose stride keys set bits beyond the per-item accounting
-        (and for filters that have been halved).
+        analytic ``num_items`` formula, so it stays accurate although stride
+        keys set bits beyond the per-item accounting (and for filters that
+        have been halved).
         """
         if self.num_items == 0:
             return 0.0
@@ -410,18 +345,17 @@ class BloomFilter:
                        ) -> Tuple[Optional[int], Optional[int]]:
         """The insertion loop: every ``add*`` entry point lands here.
 
-        Hashes each block that differs from its predecessor and, on v2, the
-        stride key of each aligned group that differs from its predecessor's
+        Hashes each block that differs from its predecessor and the stride
+        key of each aligned group that differs from its predecessor's
         (block-sorted input repeats both for long stretches).  ``last`` and
         ``last_stride`` seed that duplicate-skipping state and the final
         state is returned, which is all :class:`BloomBulkAdder` adds.  The
-        splitmix64 mixer of :func:`_hash_pair` is inlined: a call per key
+        splitmix64 mixer of :func:`hash_pair` is inlined: a call per key
         costs more than the arithmetic.
         """
         bits = self._bits
         mask = self.num_bits - 1
         hashes = range(self.num_hashes)
-        legacy = self.hash_version == FORMAT_V1
         mask64, golden, mix1, mix2 = _MASK64, _GOLDEN, _MIX1, _MIX2
         count = keys = 0
         for block in blocks:
@@ -430,20 +364,17 @@ class BloomFilter:
                 continue
             last = block
             keys += 1
-            if legacy:
-                h1, h2 = _md5_pair(block)
-            else:
-                h1 = (block + golden) & mask64
-                h1 = ((h1 ^ (h1 >> 30)) * mix1) & mask64
-                h1 = ((h1 ^ (h1 >> 27)) * mix2) & mask64
-                h1 ^= h1 >> 31
-                h2 = (h1 >> 32) | 1
+            h1 = (block + golden) & mask64
+            h1 = ((h1 ^ (h1 >> 30)) * mix1) & mask64
+            h1 = ((h1 ^ (h1 >> 27)) * mix2) & mask64
+            h1 ^= h1 >> 31
+            h2 = (h1 >> 32) | 1
             for _ in hashes:
                 position = h1 & mask
                 bits[position >> 3] |= 1 << (position & 7)
                 h1 += h2
             stride = block >> STRIDE_SHIFT
-            if stride != last_stride and not legacy:
+            if stride != last_stride:
                 last_stride = stride
                 keys += 1
                 h1 = ((stride ^ _STRIDE_SEED) + golden) & mask64
@@ -469,14 +400,14 @@ class BloomFilterBank:
     members' bits, so filters must be complete before they join one.
     """
 
-    __slots__ = ("hash_version", "num_bits", "num_hashes", "_joined", "_nbytes", "_ones")
+    __slots__ = ("num_bits", "num_hashes", "_joined", "_nbytes", "_ones")
 
     def __init__(self, filters: Sequence[BloomFilter],
                  base: Optional["BloomFilterBank"] = None) -> None:
         shape = self.shape_of(base if base is not None else filters[0])
         if any(self.shape_of(member) != shape for member in filters):
             raise ValueError("a BloomFilterBank holds filters of one shape")
-        self.hash_version, self.num_bits, self.num_hashes = shape
+        self.num_bits, self.num_hashes = shape
         self._nbytes = self.num_bits // 8
         parts = [member._bits for member in filters]
         if base is not None:
@@ -485,9 +416,9 @@ class BloomFilterBank:
         self._ones = int.from_bytes(b"\x01" * len(self), "little")
 
     @staticmethod
-    def shape_of(bloom_filter) -> Tuple[int, int, int]:
-        """What members of one bank share: ``(hash_version, num_bits, num_hashes)``."""
-        return (bloom_filter.hash_version, bloom_filter.num_bits, bloom_filter.num_hashes)
+    def shape_of(bloom_filter) -> Tuple[int, int]:
+        """What members of one bank share: ``(num_bits, num_hashes)``."""
+        return (bloom_filter.num_bits, bloom_filter.num_hashes)
 
     def extended(self, filters: Sequence[BloomFilter]) -> "BloomFilterBank":
         """A bank of this one's members followed by ``filters`` (one concatenation)."""

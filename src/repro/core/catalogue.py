@@ -90,12 +90,12 @@ class PartitionRunIndex:
         """
         self.runs = runs
         self._position = {run: index for index, run in enumerate(runs)}
-        banks: Dict[Tuple[int, int, int], Tuple[BloomFilterBank, List[ReadStoreReader]]] = {}
+        banks: Dict[Tuple[int, int], Tuple[BloomFilterBank, List[ReadStoreReader]]] = {}
         added: Iterable[ReadStoreReader] = runs
         if previous is not None and all(run in self._position for run in previous.runs):
             banks = dict(previous._banks)
             added = [run for run in runs if run not in previous._position]
-        by_shape: Dict[Tuple[int, int, int], List[ReadStoreReader]] = {}
+        by_shape: Dict[Tuple[int, int], List[ReadStoreReader]] = {}
         for run in added:
             by_shape.setdefault(BloomFilterBank.shape_of(run.bloom), []).append(run)
         for shape, members in by_shape.items():
@@ -122,14 +122,8 @@ class PartitionRunIndex:
             return [run for run in self.runs
                     if end_block > run.min_block and first_block <= run.max_block]
         admitted: List[ReadStoreReader] = []
-        hashed: Dict[int, List[Tuple[int, int]]] = {}
+        pairs = [hash_pair(key) for key in range_probe_keys(first_block, num_blocks)]
         for bank, members in self._banks.values():
-            version = bank.hash_version
-            pairs = hashed.get(version)
-            if pairs is None:
-                pairs = hashed[version] = [
-                    hash_pair(key, version)
-                    for key in range_probe_keys(first_block, num_blocks, version)]
             hits = bank.probe(pairs)
             while hits:
                 lowest = hits & -hits

@@ -125,13 +125,11 @@ class BacklogConfig:
         entirely (every resumed page rebuilds the pipeline from the token).
     verify_checksums:
         When True (the default), every leaf/index page decoded by the query
-        and compaction paths is verified against its stored CRC32 (v2 run
-        files only -- v1 files carry no checksums); a mismatch raises
-        :class:`~repro.core.read_store.CorruptPageError`, which those paths
-        convert into quarantine + degraded operation.  ``False`` skips the
-        per-decode check (the ``checksum`` benchmark section measures the
-        difference); ``repro scrub`` and run-open header verification are
-        unaffected by this flag.
+        and compaction paths is verified against its stored CRC32; a
+        mismatch raises :class:`~repro.core.read_store.CorruptPageError`,
+        which those paths convert into quarantine + degraded operation.
+        ``False`` skips the per-decode check; ``repro scrub`` and run-open
+        header verification are unaffected by this flag.
     io_retries:
         How many times a transient storage fault (``TransientIOError``,
         ``EINTR``/``EAGAIN``/``EIO``) inside a flush or compaction job is

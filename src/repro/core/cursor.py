@@ -35,6 +35,10 @@ URL-safe string; feeding it back via :meth:`QuerySpec.after` (or the
   results the pipeline already emitted are never revisited.
 * A token is only meaningful for the block range that produced it; resuming
   outside that range raises :class:`ValueError`, as does a malformed token.
+* There is one token format -- ``bkq1.`` followed by the unpadded url-safe
+  base64 of the four owner fields -- minted identically by a single engine
+  and by a cluster coordinator (routing is by block, so a token names no
+  shard).  Any other string, another prefix included, is malformed.
 * :attr:`QueryResult.resume_token` is ``None`` once the cursor is exhausted
   (the page ended because the data did, not because the limit was reached).
 
@@ -73,7 +77,6 @@ __all__ = [
     "QueryResult",
     "encode_resume_token",
     "decode_resume_token",
-    "resume_token_shard",
 ]
 
 #: Resume tokens pack the last-emitted owner identity as four unsigned
@@ -84,81 +87,44 @@ _TOKEN_STRUCT = struct.Struct("<4Q")
 #: tokens fail loudly instead of resuming at a garbage key.
 _TOKEN_PREFIX = "bkq1."
 
-#: Shard-extended tokens (minted by the cluster's scatter-gather cursor)
-#: append the owning shard index as a fifth field.  The shard component is
-#: *advisory*: the owner identity alone fully determines where the scan
-#: resumes (blocks map to partitions map to shards deterministically), so a
-#: v2 token remains valid on a single-process Backlog -- and on a cluster
-#: with a different shard count -- which decode simply routes by block.
-_TOKEN_STRUCT_V2 = struct.Struct("<5Q")
-_TOKEN_PREFIX_V2 = "bkq2."
 
-
-def encode_resume_token(key, shard: Optional[int] = None) -> str:
+def encode_resume_token(key) -> str:
     """Pack an owner identity into an opaque, URL-safe resume token.
 
     ``key`` is anything carrying ``block`` / ``inode`` / ``offset`` /
     ``line`` attributes -- a :class:`~repro.core.records.ReferenceKey` or a
-    :class:`~repro.core.records.BackReference` result itself.  With
-    ``shard`` set (the cluster's scatter-gather cursor records which worker
-    emitted the owner), a v2 token carrying the shard index is minted;
-    both formats decode everywhere.
+    :class:`~repro.core.records.BackReference` result itself.  A single
+    engine and a cluster coordinator mint the same token for the same owner.
     """
-    if shard is None:
-        payload = _TOKEN_STRUCT.pack(key.block, key.inode, key.offset, key.line)
-        prefix = _TOKEN_PREFIX
-    else:
-        payload = _TOKEN_STRUCT_V2.pack(key.block, key.inode, key.offset,
-                                        key.line, shard)
-        prefix = _TOKEN_PREFIX_V2
-    return prefix + base64.urlsafe_b64encode(payload).decode("ascii").rstrip("=")
-
-
-def _decode_token_payload(token: str):
-    """Shared strict decode; returns the unpacked integer fields."""
-    if not isinstance(token, str):
-        raise ValueError(f"malformed resume token: {token!r}")
-    if token.startswith(_TOKEN_PREFIX):
-        codec = _TOKEN_STRUCT
-        body = token[len(_TOKEN_PREFIX):]
-    elif token.startswith(_TOKEN_PREFIX_V2):
-        codec = _TOKEN_STRUCT_V2
-        body = token[len(_TOKEN_PREFIX_V2):]
-    else:
-        raise ValueError(f"malformed resume token: {token!r}")
-    try:
-        payload = base64.b64decode(body + "=" * (-len(body) % 4),
-                                   altchars=b"-_", validate=True)
-        return codec.unpack(payload)
-    except (ValueError, struct.error) as exc:
-        # binascii.Error subclasses ValueError, so strict-alphabet failures
-        # land here too.
-        raise ValueError(f"malformed resume token: {token!r}") from exc
+    payload = _TOKEN_STRUCT.pack(key.block, key.inode, key.offset, key.line)
+    return _TOKEN_PREFIX + base64.urlsafe_b64encode(payload).decode("ascii").rstrip("=")
 
 
 def decode_resume_token(token: str) -> ReferenceKey:
     """Unpack a resume token; raises :class:`ValueError` on malformed input.
 
-    Validation is strict: the body must be exactly the url-safe base64 of a
-    four-field (v1) or five-field (v2, shard-extended) payload.
+    Validation is strict: the token must be exactly what
+    :func:`encode_resume_token` produces for the key it decodes to.
     ``validate=True`` matters -- the default decoder silently *discards*
-    characters outside the alphabet, which would let a corrupted or
-    hand-mangled token decode to a garbage-but-plausible key and silently
-    resume the scan at the wrong owner instead of failing.
+    characters outside the alphabet -- and so does the re-encode: base64
+    ignores the spare bits of the last character, so without it a corrupted
+    or hand-mangled token could decode to a garbage-but-plausible key and
+    silently resume the scan at the wrong owner instead of failing.
     """
-    fields = _decode_token_payload(token)
-    return ReferenceKey(*fields[:4])
-
-
-def resume_token_shard(token: str) -> Optional[int]:
-    """The shard component of a v2 token, or ``None`` for a v1 token.
-
-    Diagnostic companion to :func:`decode_resume_token`: the cluster stamps
-    the emitting shard into its tokens, but resume routing is always by the
-    owner's block, so the component is never *required* to continue a scan.
-    """
-    fields = _decode_token_payload(token)
-    return fields[4] if len(fields) == 5 else None
+    if not isinstance(token, str) or not token.startswith(_TOKEN_PREFIX):
+        raise ValueError(f"malformed resume token: {token!r}")
+    body = token[len(_TOKEN_PREFIX):]
+    try:
+        payload = base64.b64decode(body + "=" * (-len(body) % 4),
+                                   altchars=b"-_", validate=True)
+        key = ReferenceKey(*_TOKEN_STRUCT.unpack(payload))
+    except (ValueError, struct.error) as exc:
+        # binascii.Error subclasses ValueError, so strict-alphabet failures
+        # land here too.
+        raise ValueError(f"malformed resume token: {token!r}") from exc
+    if encode_resume_token(key) != token:
+        raise ValueError(f"malformed resume token: {token!r}")
+    return key
 
 
 def _frozen(values: Optional[Iterable[int]]) -> Optional[FrozenSet[int]]:

@@ -18,19 +18,19 @@ File layout (4 KB pages)::
 
     [leaf pages][level-1 pages][level-2 pages]...[bloom pages][header page]
 
-Format versions
----------------
+Checksums
+---------
 
-Version 2 (``BACKLOG2``, the current writer output) stores a CRC32 in the
-previously-reserved second field of every leaf and index page header,
+Every leaf and index page header stores a CRC32 in its second field,
 covering the whole 4 KB page except the checksum field itself; the header
-page grows two fields, a CRC over the (page-padded) Bloom region and a CRC
-over the header bytes.  Readers verify the header checksum at open time and
-each page checksum on decode (disable with ``verify_checksums=False``); a
-mismatch raises :class:`CorruptPageError`, which the query and compaction
-layers convert into quarantine + degraded operation.  Version 1 files
-(``BACKLOG1``) remain fully readable -- they simply carry no checksums to
-verify.
+page (magic ``BACKLOG2``) carries a CRC over the (page-padded) Bloom region
+and a CRC over its own bytes.  Readers verify the header checksum at open
+time and each page checksum on decode (disable with
+``verify_checksums=False``); a mismatch raises :class:`CorruptPageError`,
+which the query and compaction layers convert into quarantine + degraded
+operation.  This is the only format: a header page with any other magic --
+including the checksum-less ``BACKLOG1`` of early builds, two bits away --
+is not a read store, and opening it raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -65,21 +65,20 @@ from repro.fsim.cache import PageCache
 
 __all__ = ["ReadStoreWriter", "ReadStoreReader", "CorruptPageError", "RECORD_KINDS"]
 
-_MAGIC = 0x4241434B4C4F4731  # "BACKLOG1" -- v1, no checksums
-_MAGIC_V2 = 0x4241434B4C4F4732  # "BACKLOG2" -- v2, CRC32 per page
-_PAGE_HEADER = struct.Struct("<II")  # number of entries, CRC32 (v1: reserved)
+_MAGIC_V2 = 0x4241434B4C4F4732  # "BACKLOG2" -- CRC32 per page
+_PAGE_HEADER = struct.Struct("<II")  # number of entries, CRC32
 _INDEX_ENTRY = struct.Struct("<5QQ")  # 5-field separator key + child page number
 _MAX_LEVELS = 8
-_HEADER = struct.Struct("<QQQQQQ" + "QQ" * _MAX_LEVELS + "QQQQ")
+_HEADER_V2_BODY = struct.Struct("<QQQQQQ" + "QQ" * _MAX_LEVELS + "QQQQQ")
 # magic, record_kind, record_size, num_records, num_leaf_pages, num_levels,
 # (level_first_page, level_num_pages) * 8, bloom_first_page, bloom_num_pages,
-# min_block, max_block
-_HEADER_V2_BODY = struct.Struct(_HEADER.format + "Q")  # ... + bloom_crc
+# min_block, max_block, bloom_crc
 _HEADER_CRC = struct.Struct("<Q")  # CRC32 of the packed body, appended last
+_HEADER_PADDING = bytes(PAGE_SIZE - _HEADER_V2_BODY.size - _HEADER_CRC.size)
 
 
 class CorruptPageError(ValueError):
-    """A page failed checksum verification (or a v2 header is damaged).
+    """A page failed checksum verification (or the header page is damaged).
 
     Subclasses :class:`ValueError` so recovery's invalid-run detection treats
     a corrupt-at-open run exactly like a truncated one.  Carries enough
@@ -159,13 +158,9 @@ class ReadStoreWriter:
     """
 
     def __init__(self, backend: StorageBackend, name: str, table: str,
-                 bloom_bits: int = DEFAULT_FILTER_BITS,
-                 format_version: int = 2) -> None:
+                 bloom_bits: int = DEFAULT_FILTER_BITS) -> None:
         if table not in RECORD_KINDS:
             raise ValueError(f"unknown table {table!r}")
-        if format_version not in (1, 2):
-            raise ValueError(f"unknown read-store format version {format_version}")
-        self.format_version = format_version
         self.backend = backend
         self.name = name
         self.table = table
@@ -354,7 +349,8 @@ class ReadStoreWriter:
                 level_fields.extend(levels[index])
             else:
                 level_fields.extend((0, 0))
-        common_fields = (
+        body = _HEADER_V2_BODY.pack(
+            _MAGIC_V2,
             self.record_kind,
             self.record_size,
             self._num_records,
@@ -365,13 +361,9 @@ class ReadStoreWriter:
             bloom_num_pages,
             min_block,
             max_block,
+            bloom_crc,
         )
-        if self.format_version == 1:
-            header = _HEADER.pack(_MAGIC, *common_fields)
-        else:
-            body = _HEADER_V2_BODY.pack(_MAGIC_V2, *common_fields, bloom_crc)
-            header = body + _HEADER_CRC.pack(crc32(body))
-        page_file.append_page(header)
+        page_file.append_page(body + _HEADER_CRC.pack(crc32(body)))
         return ReadStoreReader(self.backend, self.name, cache=cache, bloom=bloom,
                                verify_checksums=verify_checksums)
 
@@ -394,8 +386,7 @@ class ReadStoreWriter:
         body_end = _PAGE_HEADER.size + len(records) * self.record_size
         payload[_PAGE_HEADER.size:body_end] = _flat_struct(
             self.record_size // 8, len(records)).pack(*chain.from_iterable(records))
-        if self.format_version >= 2:
-            _PAGE_HEADER.pack_into(payload, 0, len(records), _page_crc(payload))
+        _PAGE_HEADER.pack_into(payload, 0, len(records), _page_crc(payload))
         page_index = page_file.append_page(bytes(payload))
         leaf_keys.append((_separator_key(records[0]), page_index))
 
@@ -408,8 +399,7 @@ class ReadStoreWriter:
         for key, child in entries:
             pack_into(payload, position, *key, child)
             position += _INDEX_ENTRY.size
-        if self.format_version >= 2:
-            _PAGE_HEADER.pack_into(payload, 0, len(entries), _page_crc(payload))
+        _PAGE_HEADER.pack_into(payload, 0, len(entries), _page_crc(payload))
         return page_file.append_page(bytes(payload))
 
 
@@ -440,22 +430,19 @@ class ReadStoreReader:
             # writer that crashed before its first leaf page reached disk.
             raise ValueError(f"{name!r} is empty, not a Backlog read store")
         header_page = self._read_page(self._page_file.num_pages - 1)
-        magic = _HEADER_CRC.unpack_from(header_page, 0)[0]
-        if magic == _MAGIC_V2:
-            self.format_version = 2
-            stored_crc = _HEADER_CRC.unpack_from(header_page, _HEADER_V2_BODY.size)[0]
-            # The header checksum is verified unconditionally -- it costs one
-            # CRC per open and guards every layout field below.
-            if crc32(header_page[:_HEADER_V2_BODY.size]) != stored_crc:
-                raise CorruptPageError(name, self._page_file.num_pages - 1, "header")
-            fields = _HEADER_V2_BODY.unpack_from(header_page, 0)
-        elif magic == _MAGIC:
-            self.format_version = 1
-            fields = _HEADER.unpack_from(header_page, 0)
-        else:
+        fields = _HEADER_V2_BODY.unpack_from(header_page, 0)
+        if fields[0] != _MAGIC_V2:
             raise ValueError(f"{name!r} is not a Backlog read store")
-        # v1 files carry no checksums; never attempt to verify them.
-        self._verify = verify_checksums and self.format_version >= 2
+        body_end = _HEADER_V2_BODY.size
+        stored_crc = _HEADER_CRC.unpack_from(header_page, body_end)[0]
+        # The header checksum is verified unconditionally -- it costs one
+        # CRC per open and guards every layout field below; the writer's
+        # zero padding is held to the same standard, so no byte of the page
+        # can change unnoticed.
+        if (crc32(header_page[:body_end]) != stored_crc
+                or header_page[body_end + _HEADER_CRC.size:] != _HEADER_PADDING):
+            raise CorruptPageError(name, self._page_file.num_pages - 1, "header")
+        self._verify = verify_checksums
         self.record_kind = fields[1]
         self.record_size = fields[2]
         self.num_records = fields[3]
@@ -471,7 +458,7 @@ class ReadStoreReader:
         self.bloom_num_pages = fields[offset + 1]
         self.min_block = fields[offset + 2]
         self.max_block = fields[offset + 3]
-        self.bloom_crc = fields[offset + 4] if self.format_version >= 2 else 0
+        self.bloom_crc = fields[offset + 4]
         self._record_class = _KIND_TO_CLASS[self.record_kind]
         self._record_struct = _KIND_TO_STRUCT[self.record_kind]
         self._fields = self.record_size // 8
@@ -661,12 +648,9 @@ class ReadStoreReader:
 
         Returns one :class:`CorruptPageError` per damaged page instead of
         raising, so a scrub can report the full extent of the damage.
-        Version-1 files carry no checksums and always verify clean.  The
-        check is independent of the ``verify_checksums`` constructor flag.
+        The check is independent of the ``verify_checksums`` constructor flag.
         """
         problems: List[CorruptPageError] = []
-        if self.format_version < 2:
-            return problems
         for page_index in range(self.num_leaf_pages):
             data = self._read_page(page_index)
             _, stored_crc = _PAGE_HEADER.unpack_from(data, 0)

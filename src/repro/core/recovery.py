@@ -38,10 +38,7 @@ from repro.fsim.blockdev import StorageBackend
 from repro.fsim.cache import PageCache
 from repro.fsim.journal import Journal
 
-# parse_run_name is re-exported for backwards compatibility; it lives in
-# repro.core.lsm next to run_name, its inverse.
-__all__ = ["parse_run_name", "rebuild_run_manager", "recover_backlog",
-           "scrub_backend", "ScrubReport"]
+__all__ = ["rebuild_run_manager", "recover_backlog", "scrub_backend", "ScrubReport"]
 
 
 def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = None,
@@ -55,7 +52,7 @@ def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = No
     advanced past the highest sequence seen so new runs get fresh names.
 
     A run file that cannot be opened -- empty, truncated mid-write, with a
-    corrupt header (including a v2 header whose CRC does not match), or
+    corrupt or foreign header (a CRC that does not match, any other magic), or
     unreadable at the OS level -- is the remnant of a compaction that
     crashed before registering its output, or storage damage.  Such a file
     is not part of the database (the catalogue swap happens only after
@@ -189,16 +186,15 @@ def recover_backlog(
 class ScrubReport:
     """The result of one :func:`scrub_backend` pass."""
 
-    #: Runs that opened and verified clean (v2 files, every page checked).
+    #: Runs that opened and verified clean (every page checked).
     runs_ok: List[str] = field(default_factory=list)
-    #: v1 runs that opened fine but carry no checksums to verify.
-    runs_legacy: List[str] = field(default_factory=list)
     #: Runs with at least one checksum mismatch: name -> the failures,
     #: each a ``(page_index, kind)`` pair (``kind`` is ``"header"``,
     #: ``"leaf"``, ``"index"`` or ``"bloom"``).
     runs_corrupt: Dict[str, List[tuple]] = field(default_factory=dict)
     #: Run-named files that would not open at all (truncated, empty,
-    #: unreadable) -- crash leftovers rather than bit rot.
+    #: unreadable, not headed by this format's magic) -- crash leftovers or
+    #: foreign files rather than bit rot under a checksum.
     files_invalid: List[str] = field(default_factory=list)
     #: Deferred-delete files: runs retired from the catalogue behind a
     #: pinned reader (their ``.retired`` tombstone is present), plus orphan
@@ -233,7 +229,7 @@ class ScrubReport:
         for name in self.files_reclaimed:
             lines.append(f"RECLAIMED {name}")
         lines.append(
-            f"scrub: {len(self.runs_ok)} ok, {len(self.runs_legacy)} legacy (v1), "
+            f"scrub: {len(self.runs_ok)} ok, "
             f"{len(self.runs_corrupt)} corrupt, {len(self.files_invalid)} invalid, "
             f"{len(self.files_deferred)} deferred, "
             f"{len(self.files_reclaimed)} reclaimed")
@@ -244,10 +240,9 @@ def scrub_backend(backend: StorageBackend, reclaim: bool = False) -> ScrubReport
     """Walk every run on ``backend`` verifying page checksums.
 
     The engine behind ``repro scrub``: every run-named file is opened
-    (header CRC verified for v2 files) and every leaf, index and Bloom page
-    is checked against its stored CRC32 regardless of the
-    ``verify_checksums`` runtime flag.  v1 files carry no checksums and are
-    reported as legacy rather than ok.  ``reclaim=True`` deletes corrupt
+    (header CRC verified) and every leaf, index and Bloom page is checked
+    against its stored CRC32 regardless of the ``verify_checksums`` runtime
+    flag.  ``reclaim=True`` deletes corrupt
     runs and unopenable leftovers, reclaiming their space -- the database
     equivalent of dropping a damaged run from the catalogue, made durable.
 
@@ -287,9 +282,6 @@ def scrub_backend(backend: StorageBackend, reclaim: bool = False) -> ScrubReport
             continue
         except (ValueError, IndexError, struct.error, OSError):
             report.files_invalid.append(name)
-            continue
-        if reader.format_version < 2:
-            report.runs_legacy.append(name)
             continue
         problems = reader.verify_checksums()
         if problems:

@@ -126,10 +126,6 @@ def any_version_in(versions: Sequence[int], start: int, stop: int) -> bool:
     return lo < len(versions) and versions[lo] < stop
 
 
-#: Backwards-compatible private alias (pre-cursor-API name).
-_any_version_in = any_version_in
-
-
 def merge_adjacent_ranges(ranges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Merge touching or overlapping ``(from, to)`` ranges.
 

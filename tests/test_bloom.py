@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 import time
 
 import pytest
@@ -12,8 +13,6 @@ from repro.core.bloom import (
     BloomFilter,
     COMBINED_FILTER_BITS,
     DEFAULT_FILTER_BITS,
-    FORMAT_V1,
-    FORMAT_V2,
     fit_bits,
 )
 
@@ -28,8 +27,8 @@ def _reference_shrink_to(bloom: BloomFilter, target_bits: int) -> None:
         bloom.num_bits //= 2
 
 
-def _filled(blocks, num_bits, hash_version):
-    bloom = BloomFilter(num_bits, hash_version=hash_version)
+def _filled(blocks, num_bits):
+    bloom = BloomFilter(num_bits)
     bloom.add_many(blocks)
     return bloom
 
@@ -50,7 +49,7 @@ class TestBasics:
 
     def test_add_all(self):
         bloom = BloomFilter(4096)
-        bloom.add_all(range(50))
+        bloom.add_many(range(50))
         assert all(bloom.might_contain(b) for b in range(50))
         assert bloom.num_items == 50
 
@@ -87,12 +86,12 @@ class TestFalsePositiveRate:
     def test_fill_ratio_increases(self):
         bloom = BloomFilter(4096)
         assert bloom.fill_ratio() == 0.0
-        bloom.add_all(range(100))
+        bloom.add_many(range(100))
         assert bloom.fill_ratio() > 0.0
 
     def test_fill_ratio_counts_every_set_bit(self):
         bloom = BloomFilter(DEFAULT_FILTER_BITS)
-        bloom.add_all(range(0, 200_000, 97))
+        bloom.add_many(range(0, 200_000, 97))
         set_bits = sum(bin(byte).count("1") for byte in bloom._bits)
         assert bloom.fill_ratio() == set_bits / DEFAULT_FILTER_BITS
 
@@ -113,14 +112,14 @@ class TestShrinking:
     def test_halving_preserves_membership(self):
         bloom = BloomFilter(64 * 1024)
         items = [i * 13 for i in range(200)]
-        bloom.add_all(items)
+        bloom.add_many(items)
         bloom.shrink_to(8 * 1024)
         assert bloom.num_bits == 8 * 1024
         assert all(bloom.might_contain(i) for i in items)
 
     def test_shrink_to_fit_small_run(self):
         bloom = BloomFilter(DEFAULT_FILTER_BITS)
-        bloom.add_all(range(10))
+        bloom.add_many(range(10))
         bloom.shrink_to_fit()
         assert bloom.num_bits < DEFAULT_FILTER_BITS
         assert all(bloom.might_contain(i) for i in range(10))
@@ -146,7 +145,7 @@ class TestShrinking:
         def fastest(shrink, repetitions):
             best = float("inf")
             for _ in range(repetitions):
-                bloom = _filled(blocks, COMBINED_FILTER_BITS, FORMAT_V2)
+                bloom = _filled(blocks, COMBINED_FILTER_BITS)
                 start = time.perf_counter()
                 shrink(bloom, 1024)
                 best = min(best, time.perf_counter() - start)
@@ -161,7 +160,7 @@ class TestShrinking:
 class TestSerialization:
     def test_roundtrip(self):
         bloom = BloomFilter(4096, num_hashes=4)
-        bloom.add_all([1, 5, 9, 1000, 123456])
+        bloom.add_many([1, 5, 9, 1000, 123456])
         restored = BloomFilter.from_bytes(bloom.to_bytes())
         assert restored.num_bits == bloom.num_bits
         assert restored.num_hashes == bloom.num_hashes
@@ -173,6 +172,37 @@ class TestSerialization:
         bloom = BloomFilter(8 * 1024)
         assert bloom.size_bytes == 1024
 
+    def test_blob_without_the_v2_magic_is_rejected(self):
+        """The magic-less ``<QQQ`` layout early builds wrote (MD5-hashed bits)
+        is a foreign blob: probing it with this hash would miss its keys."""
+        blob = BloomFilter(1024).to_bytes()
+        legacy = struct.pack("<QQQ", 1024, 4, 0) + blob[32:]
+        with pytest.raises(ValueError, match="version-2"):
+            BloomFilter.from_bytes(legacy)
+        with pytest.raises(ValueError, match="version-2"):
+            BloomFilter.from_bytes(b"\x01" + blob[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_from_bytes_fails_closed(self, data):
+        """Fuzz: random bytes, or a valid blob with one byte changed or its
+        tail cut off, either raise ``ValueError`` or decode to a filter that
+        serializes back to what was read -- nothing else escapes."""
+        valid = _filled(range(0, 900, 7), 2048).to_bytes()
+        blob = data.draw(st.one_of(
+            st.binary(max_size=96),
+            st.builds(lambda position, value: valid[:position] + bytes([value])
+                      + valid[position + 1:],
+                      st.integers(0, len(valid) - 1), st.integers(0, 255)),
+            st.integers(0, len(valid)).map(lambda size: valid[:size])))
+        try:
+            restored = BloomFilter.from_bytes(blob)
+        except ValueError:
+            return
+        again = restored.to_bytes()
+        assert blob.startswith(again)
+        assert BloomFilter.from_bytes(again).to_bytes() == again
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=2**48), max_size=200),
@@ -180,7 +210,7 @@ class TestSerialization:
 def test_no_false_negatives_property(blocks, log_bits):
     """Property: a Bloom filter never reports an inserted block as absent."""
     bloom = BloomFilter(1 << log_bits)
-    bloom.add_all(blocks)
+    bloom.add_many(blocks)
     assert all(bloom.might_contain(b) for b in blocks)
 
 
@@ -189,24 +219,23 @@ def test_no_false_negatives_property(blocks, log_bits):
 def test_no_false_negatives_after_halving(blocks):
     """Property: halving the filter preserves the no-false-negative guarantee."""
     bloom = BloomFilter(32 * 1024)
-    bloom.add_all(blocks)
+    bloom.add_many(blocks)
     bloom.shrink_to(2 * 1024)
     assert all(bloom.might_contain(b) for b in blocks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**48), max_size=120),
-       st.integers(min_value=3, max_value=15),
-       st.sampled_from([FORMAT_V1, FORMAT_V2]))
-def test_fold_matches_reference_halving(blocks, log_bits, hash_version):
+       st.integers(min_value=3, max_value=15))
+def test_fold_matches_reference_halving(blocks, log_bits):
     """Property: ``shrink_to`` is byte-for-byte the reference halving, for
-    both hash versions, empty filters, the 8-bit floor and every
-    power-of-two target -- and membership survives it."""
+    empty filters, the 8-bit floor and every power-of-two target -- and
+    membership survives it."""
     blocks = sorted(blocks)
     num_bits = 1 << log_bits
     for target in [1 << shift for shift in range(log_bits, 2, -1)] + [5, 1]:
-        folded = _filled(blocks, num_bits, hash_version)
-        expected = _filled(blocks, num_bits, hash_version)
+        folded = _filled(blocks, num_bits)
+        expected = _filled(blocks, num_bits)
         folded.shrink_to(target)
         _reference_shrink_to(expected, target)
         assert folded.to_bytes() == expected.to_bytes()
@@ -216,20 +245,19 @@ def test_fold_matches_reference_halving(blocks, log_bits, hash_version):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=300),
-       st.sampled_from([FORMAT_V1, FORMAT_V2]),
        st.sampled_from([1024, 4096, DEFAULT_FILTER_BITS]))
-def test_shrink_to_fit_matches_reference_and_build_time_sizing(blocks, hash_version, max_bits):
+def test_shrink_to_fit_matches_reference_and_build_time_sizing(blocks, max_bits):
     """Property: ``shrink_to_fit`` lands on the reference halving's bytes,
     and a filter created at ``fit_bits`` of a bound on its keys (what the
     run writer does) ends bit-identical to one created at the maximum."""
     blocks = sorted(blocks)
-    fitted = _filled(blocks, max_bits, hash_version)
+    fitted = _filled(blocks, max_bits)
     fitted.shrink_to_fit()
-    expected = _filled(blocks, max_bits, hash_version)
+    expected = _filled(blocks, max_bits)
     _reference_shrink_to(
         expected, fit_bits(max(expected.num_items, expected._keys_inserted)))
     assert fitted.to_bytes() == expected.to_bytes()
-    presized = _filled(blocks, min(max_bits, fit_bits(2 * len(blocks))), hash_version)
+    presized = _filled(blocks, min(max_bits, fit_bits(2 * len(blocks))))
     presized.shrink_to_fit()
     assert presized.to_bytes() == expected.to_bytes()
     assert all(presized.might_contain(block) for block in blocks)

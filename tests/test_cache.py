@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.fsim.blockdev import MemoryBackend, PAGE_SIZE
@@ -162,6 +164,43 @@ class TestInvalidateFileIndex:
         cache.invalidate_file(page_file.name)  # nothing cached: no-op
         assert len(cache) == 0
         assert cache.stats.misses == 2 - 1  # only the one read so far
+
+
+def _invalidate_seconds(other_files: int, pages_per_file: int = 48) -> float:
+    """Fastest ``invalidate_file`` of one file beside ``other_files`` cached ones."""
+    backend = MemoryBackend()
+    page_files = []
+    for number in range(other_files + 1):
+        page_file = backend.create(f"f{number}")
+        for index in range(pages_per_file):
+            page_file.append_page(bytes([number, index]))
+        page_files.append(page_file)
+    cache = PageCache((other_files + 1) * pages_per_file * PAGE_SIZE)
+    for page_file in page_files:
+        for index in range(pages_per_file):
+            cache.read_page(page_file, index)
+    victim = page_files[0]
+    best = float("inf")
+    for _ in range(40):
+        start = time.perf_counter()
+        cache.invalidate_file(victim.name)
+        best = min(best, time.perf_counter() - start)
+        assert len(cache) == other_files * pages_per_file
+        for index in range(pages_per_file):
+            cache.read_page(victim, index)
+    return best
+
+
+def test_invalidate_cost_ignores_other_files_pages():
+    """Dropping one file's 48 pages beside 60 other cached files costs < 5x
+    what it costs beside 1, not the ~30x of a scan over every cached page.
+
+    A ratio inside one process, minimum of several passes, no absolute
+    threshold -- compaction calls this once per retired run, so a cost that
+    followed the cache size would make cleanup quadratic.
+    """
+    ratio = min(_invalidate_seconds(60) / _invalidate_seconds(1) for _ in range(3))
+    assert ratio < 5.0, f"60-file / 1-file invalidate_file cost ratio {ratio:.1f}"
 
 
 class TestCacheStatsAccounting:

@@ -2,7 +2,7 @@
 
 Covers the layers bottom-up: protocol framing (roundtrip, corruption,
 version mismatch, error relay), the shard map's placement algebra, the
-shard-extended (v2) resume tokens, and then live clusters -- lazy
+single resume-token format, and then live clusters -- lazy
 ``.first()``, limits, clones, relocation, the two-phase checkpoint's
 fault/crash behaviour, cold restart, and the HTTP service running over a
 cluster.  The shards {1, 3} *equivalence* leg (identical answers, page
@@ -12,9 +12,11 @@ boundaries and exact ``pages_read``) lives with its siblings in
 
 from __future__ import annotations
 
+import base64
 import errno
 import json
 import os
+import struct
 
 import pytest
 
@@ -41,7 +43,6 @@ from repro.core.cursor import (
     QuerySpec,
     decode_resume_token,
     encode_resume_token,
-    resume_token_shard,
 )
 from repro.core.records import ReferenceKey
 from repro.fsim.faults import FaultPlan
@@ -143,27 +144,31 @@ def test_subranges_partition_exact_and_shard_count_independent():
     assert list(ShardMap(2, 64).subranges(5, 0)) == []
 
 
-# ------------------------------------------------------------- v2 tokens
+# ---------------------------------------------------------------- tokens
+
+
+def _shard_extended(key, shard: int) -> str:
+    """The five-field ``bkq2.`` token coordinators minted before there was one format."""
+    payload = struct.pack("<5Q", key.block, key.inode, key.offset, key.line, shard)
+    return "bkq2." + base64.urlsafe_b64encode(payload).decode("ascii").rstrip("=")
 
 
 def test_shard_extended_resume_tokens():
+    """There is one token format; a shard-extended token is a malformed one."""
     key = ReferenceKey(700, 12, 3, 1)
-    v1 = encode_resume_token(key)
-    v2 = encode_resume_token(key, shard=2)
-    assert v1.startswith("bkq1.") and v2.startswith("bkq2.")
-    # Both decode to the same owner; the shard rides along on v2 only.
-    assert decode_resume_token(v1) == key
-    assert decode_resume_token(v2) == key
-    assert resume_token_shard(v1) is None
-    assert resume_token_shard(v2) == 2
-    with pytest.raises(ValueError):
-        decode_resume_token("bkq2.not-base64!!")
-    with pytest.raises(ValueError):
-        resume_token_shard("bkq9.AAAA")
+    token = encode_resume_token(key)
+    assert token.startswith("bkq1.") and decode_resume_token(token) == key
+    with pytest.raises(TypeError):
+        encode_resume_token(key, shard=2)
+    for foreign in (_shard_extended(key, 2), "bkq2.not-base64!!", "bkq9.AAAA",
+                    "bkq2." + token[len("bkq1."):]):
+        with pytest.raises(ValueError, match="malformed resume token"):
+            decode_resume_token(foreign)
 
 
 def test_v2_token_resumes_on_single_process_backlog():
-    """A cluster-minted token is valid on a plain Backlog (and vice versa)."""
+    """What a coordinator mints is the engine's own token -- and the retired
+    shard-extended form is refused by ``select`` like any foreign string."""
     from repro.core.backlog import Backlog
 
     backlog = Backlog(config=BacklogConfig(partition_size_blocks=64))
@@ -172,9 +177,12 @@ def test_v2_token_resumes_on_single_process_backlog():
     backlog.checkpoint()
     page = backlog.select(QuerySpec(0, 100, limit=5))
     rows = page.all()
-    v2 = encode_resume_token(rows[-1], shard=1)   # as a cluster would mint
-    rest = backlog.select(QuerySpec(0, 100, resume_token=v2)).all()
+    token = encode_resume_token(rows[-1])           # as a cluster mints it
+    assert token == page.resume_token
+    rest = backlog.select(QuerySpec(0, 100, resume_token=token)).all()
     assert [ref.block for ref in rest] == list(range(5, 20))
+    with pytest.raises(ValueError):
+        backlog.select(QuerySpec(0, 100, resume_token=_shard_extended(rows[-1], 1))).all()
     backlog.close()
 
 
@@ -204,7 +212,7 @@ def test_cluster_basic_query_limit_and_pagination(shard_factory):
     first_page = page.all()
     assert len(first_page) == 10 and not page.exhausted
     token = page.resume_token
-    assert resume_token_shard(token) is not None        # v2: shard recorded
+    assert token == encode_resume_token(first_page[-1])  # the engine's own token
     rest = cluster.select(QuerySpec(0, 300, resume_token=token)).all()
     assert [r.block for r in first_page + rest] == expected
 
@@ -413,7 +421,7 @@ def test_cluster_http_service(shard_factory):
                      {"Content-Type": "application/json"})
         page = json.loads(conn.getresponse().read())
         assert page["count"] == 12
-        assert page["resume_token"].startswith("bkq2.")
+        assert page["resume_token"].startswith("bkq1.")
         conn.request("POST", "/query",
                      json.dumps({"first_block": 0, "num_blocks": 300,
                                  "resume_token": page["resume_token"]}),
@@ -427,6 +435,14 @@ def test_cluster_http_service(shard_factory):
         assert stats["cluster"]["num_shards"] == 3
         assert len(stats["shards"]) == 3
         assert stats["requests_served"] == 2
+
+        # A shard-extended token from before there was one format: HTTP 400.
+        conn.request("POST", "/query",
+                     json.dumps({"first_block": 0, "num_blocks": 300,
+                                 "resume_token": _shard_extended(ReferenceKey(7, 3, 7, 0), 1)}),
+                     {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400 and b"malformed resume token" in response.read()
 
         conn.request("GET", "/health")
         health = json.loads(conn.getresponse().read())

@@ -332,14 +332,14 @@ def test_pack_back_references_roundtrip(owners):
 def test_query_page_frame_decodes_to_reply_dict():
     """A packed page frame decodes into the coordinator's reply dict."""
     stats = {"pages_read": 12, "queries": 1}
-    page = QueryPage(_MIXED_PAGE, "bkq2.AAAA", False, stats)
+    page = QueryPage(_MIXED_PAGE, "bkq1.AAAA", False, stats)
     frame = encode_frame(Opcode.OK, page)
     assert _HEADER.unpack_from(frame)[1] == PROTOCOL_VERSION
     opcode, reply = decode_frame(frame)
     assert opcode is Opcode.OK
     assert reply == {
         "results": [BackReference._make(owner) for owner in _MIXED_PAGE],
-        "resume_token": "bkq2.AAAA",
+        "resume_token": "bkq1.AAAA",
         "exhausted": False,
         "stats": stats,
     }

@@ -101,6 +101,30 @@ class TestResumeTokens:
         token = encode_resume_token(ReferenceKey(2**64 - 1, 2**64 - 1, 0, 255))
         assert token.replace(".", "").replace("-", "").replace("_", "").isalnum()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_decode_fails_closed(self, data):
+        """Fuzz: arbitrary text, bodies behind the retired ``bkq2.`` prefix and
+        valid tokens with one character changed either raise ``ValueError``
+        or decode to the key that encodes back to the very same string -- the
+        last character's spare base64 bits included."""
+        u64 = st.integers(0, 2**64 - 1)
+        valid = encode_resume_token(ReferenceKey(*data.draw(st.tuples(u64, u64, u64, u64))))
+        alphabet = st.sampled_from(
+            "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_=.+/ \n")
+        token = data.draw(st.one_of(
+            st.text(max_size=60),
+            st.text(alphabet, max_size=60).map("bkq1.".__add__),
+            st.text(alphabet, max_size=60).map("bkq2.".__add__),
+            st.just("bkq2." + valid[len("bkq1."):]),
+            st.builds(lambda position, char: valid[:position] + char + valid[position + 1:],
+                      st.integers(0, len(valid) - 1), alphabet)))
+        try:
+            key = decode_resume_token(token)
+        except ValueError:
+            return
+        assert encode_resume_token(key) == token and token.startswith("bkq1.")
+
 
 # --------------------------------------------------------- QueryResult
 

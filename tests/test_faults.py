@@ -12,6 +12,8 @@ from __future__ import annotations
 import errno
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Backlog,
@@ -59,11 +61,15 @@ def _sample_records(n: int = 64):
     return [FromRecord(block, 7, block, 0, 3) for block in range(n)]
 
 
-def _write_run(backend, name: str = "p000000/from/L0_0000000001",
-               format_version: int = 2) -> ReadStoreReader:
-    writer = ReadStoreWriter(backend, name, "from",
-                             format_version=format_version)
-    return writer.build(_sample_records())
+def _write_run(backend, name: str = "p000000/from/L0_0000000001") -> ReadStoreReader:
+    return ReadStoreWriter(backend, name, "from").build(_sample_records())
+
+
+def _xor_byte(backend, name: str, page_index: int, offset: int, mask: int) -> None:
+    """Damage one stored byte in place (``corrupt_page`` flips a single bit)."""
+    data = bytearray(backend.open(name).read_page(page_index))
+    data[offset] ^= mask
+    FaultyBackend(backend, FaultPlan())._overwrite_page(name, page_index, bytes(data))
 
 
 # --------------------------------------------------------------- FaultyBackend
@@ -446,7 +452,6 @@ def test_compaction_quarantines_corrupt_input_run():
 def test_scrub_reports_and_reclaims():
     backend = MemoryBackend()
     ok = _write_run(backend, "p000000/from/L0_0000000001")
-    legacy = _write_run(backend, "p000000/from/L0_0000000002", format_version=1)
     bad = _write_run(backend, "p000000/from/L0_0000000003")
     faulty = FaultyBackend(backend, FaultPlan())
     faulty.corrupt_page(bad.name, 0, bit=40)
@@ -457,7 +462,6 @@ def test_scrub_reports_and_reclaims():
     assert isinstance(report, ScrubReport)
     assert not report.clean
     assert report.runs_ok == [ok.name]
-    assert report.runs_legacy == [legacy.name]
     assert list(report.runs_corrupt) == [bad.name]
     page_index, kind = report.runs_corrupt[bad.name][0]
     assert (page_index, kind) == (0, "leaf")
@@ -470,7 +474,8 @@ def test_scrub_reports_and_reclaims():
     assert not backend.exists(bad.name)
     after = scrub_backend(backend)
     assert after.clean
-    assert after.runs_ok == [ok.name] and after.runs_legacy == [legacy.name]
+    assert after.runs_ok == [ok.name]
+    assert "legacy" not in after.summary()
 
 
 def test_scrub_detects_header_corruption():
@@ -488,18 +493,60 @@ def test_scrub_detects_header_corruption():
     assert manager.run_count() == 0
 
 
-# ------------------------------------------------------------- legacy format
+# ------------------------------------------------------------- one run format
 
 
-def test_v1_runs_stay_readable_and_rebuildable():
+def test_backlog1_header_is_rejected():
+    """The checksum-less ``BACKLOG1`` layout of early builds is a foreign file.
+
+    (Was ``test_v1_runs_stay_readable_and_rebuildable``: nothing writes that
+    layout any more, and a reader for it is a way around every checksum.)
+    """
     backend = MemoryBackend()
-    v1 = _write_run(backend, "p000000/from/L0_0000000001", format_version=1)
-    v2 = _write_run(backend, "p000000/from/L0_0000000002", format_version=2)
-    assert v1.format_version == 1 and v2.format_version == 2
-    assert list(v1.iter_all()) == list(v2.iter_all()) == _sample_records()
-    # verify_checksums=True over a v1 file is a no-op, not an error.
-    reread = ReadStoreReader(backend, v1.name, verify_checksums=True)
-    assert list(reread.iter_all()) == _sample_records()
-    assert reread.verify_checksums() == []
-    manager = rebuild_run_manager(backend)
-    assert manager.run_count() == 2
+    with pytest.raises(TypeError):
+        ReadStoreWriter(backend, "p000000/from/L0_0000000001", "from", format_version=1)
+    run = _write_run(backend, "p000000/from/L0_0000000001")
+    assert not hasattr(run, "format_version")
+    header_page = backend.open(run.name).num_pages - 1
+    assert backend.open(run.name).read_page(header_page)[:8] == b"2GOLKCAB"
+    _xor_byte(backend, run.name, header_page, 0, 0x32 ^ 0x31)      # "BACKLOG1"
+    with pytest.raises(ValueError, match="not a Backlog read store"):
+        ReadStoreReader(backend, run.name)
+    assert rebuild_run_manager(backend).run_count() == 0
+
+
+def test_magic_downgrade_cannot_switch_checksums_off(tmp_path, capsys):
+    """Regression: ``BACKLOG2`` -> ``BACKLOG1`` is two bits of one byte, and a
+    v1 header had no CRC -- so that flip used to open the run with every
+    checksum off, serve a damaged leaf record, re-register the run at
+    recovery and scrub as clean."""
+    from repro.cli import main
+
+    backend = DiskBackend(str(tmp_path))
+    run = _write_run(backend)
+    header_page = backend.open(run.name).num_pages - 1
+    _xor_byte(backend, run.name, header_page, 0, 0x32 ^ 0x31)
+    _xor_byte(backend, run.name, 0, 8 + 3, 0x10)                   # a leaf record byte
+    for verify in (True, False):
+        with pytest.raises(ValueError):
+            ReadStoreReader(backend, run.name, verify_checksums=verify)
+    assert rebuild_run_manager(backend).run_count() == 0
+    report = scrub_backend(backend)
+    assert not report.clean
+    assert report.files_invalid == [run.name] and not report.runs_ok
+    assert main(["scrub", "--directory", str(tmp_path)]) == 1
+    assert f"INVALID  {run.name}" in capsys.readouterr().out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(0, 223), st.integers(0, PAGE_SIZE - 1)), st.integers(1, 255))
+def test_damaged_header_page_never_yields_a_reader(offset, mask):
+    """Fuzz: whichever single byte of the header page changes -- magic,
+    layout field, either CRC, the zero padding -- opening the run raises."""
+    backend = MemoryBackend()
+    run = _write_run(backend)
+    _xor_byte(backend, run.name, backend.open(run.name).num_pages - 1, offset, mask)
+    with pytest.raises(ValueError):                 # CorruptPageError is one
+        ReadStoreReader(backend, run.name, verify_checksums=False)
+    assert rebuild_run_manager(backend).run_count() == 0
+    assert not scrub_backend(backend).clean

@@ -3,9 +3,10 @@
 The memtable :class:`WriteStore` must be observationally identical to a
 sorted-set model (a ``set`` of records plus ``sorted()``): identical flush
 order, range-query results and pruning behaviour for any operation sequence.
-The Bloom filter must round-trip through both serialization format versions
-and keep its no-false-negative guarantee through the version-2 stride-based
-range probes.
+The Bloom filter must round-trip through its serialization format, reject
+damaged headers, and keep its no-false-negative guarantee through the
+stride-based range probes.  (The fail-closed fuzz of ``from_bytes`` is in
+``tests/test_bloom.py``.)
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.bloom import (
     BloomFilter,
-    FORMAT_V1,
-    FORMAT_V2,
     STRIDE_SHIFT,
 )
 from repro.core.records import FromRecord
@@ -111,7 +110,6 @@ class TestBloomFormatVersions:
         bloom = BloomFilter(8192, num_hashes=4)
         bloom.add_many([1, 5, 9, 1000, 123456])
         restored = BloomFilter.from_bytes(bloom.to_bytes())
-        assert restored.hash_version == FORMAT_V2
         assert restored.num_bits == bloom.num_bits
         assert restored.num_hashes == bloom.num_hashes
         assert restored.num_items == bloom.num_items
@@ -119,27 +117,6 @@ class TestBloomFormatVersions:
             assert restored.might_contain(item)
             # stride keys survive serialization: range probes stay FN-free
             assert restored.might_contain_range(max(0, item - 50), 120)
-
-    def test_v1_roundtrip_uses_legacy_layout(self):
-        bloom = BloomFilter(8192, num_hashes=4, hash_version=FORMAT_V1)
-        bloom.add_many([3, 77, 4096])
-        blob = bloom.to_bytes()
-        # Legacy layout: header is exactly <QQQ> starting with num_bits.
-        num_bits, num_hashes, num_items = struct.unpack_from("<QQQ", blob, 0)
-        assert (num_bits, num_hashes, num_items) == (8192, 4, 3)
-        restored = BloomFilter.from_bytes(blob)
-        assert restored.hash_version == FORMAT_V1
-        assert all(restored.might_contain(i) for i in [3, 77, 4096])
-        # And a second round trip is stable.
-        assert BloomFilter.from_bytes(restored.to_bytes()).to_bytes() == blob
-
-    def test_cross_version_filters_disagree_only_in_bits(self):
-        """Same keys, both versions: membership holds in each."""
-        items = list(range(0, 512, 7))
-        for version in (FORMAT_V1, FORMAT_V2):
-            bloom = BloomFilter(4096, hash_version=version)
-            bloom.add_many(items)
-            assert all(bloom.might_contain(i) for i in items)
 
     def test_trailing_page_padding_tolerated(self):
         bloom = BloomFilter(1024)
@@ -149,17 +126,20 @@ class TestBloomFormatVersions:
 
 
 class TestBloomCorruptInput:
+    #: The first header field of a valid blob: format magic and version.
+    MAGIC = struct.unpack_from("<Q", BloomFilter(1024).to_bytes(), 0)[0]
+
     def test_short_blob_rejected(self):
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(b"\x01\x02")
 
     def test_non_power_of_two_bits_rejected(self):
-        blob = struct.pack("<QQQ", 1000, 4, 1) + b"\x00" * 125
+        blob = struct.pack("<QQQQ", self.MAGIC, 1000, 4, 1) + b"\x00" * 125
         with pytest.raises(ValueError, match="power of two"):
             BloomFilter.from_bytes(blob)
 
     def test_implausible_hash_count_rejected(self):
-        blob = struct.pack("<QQQ", 1024, 10_000, 1) + b"\x00" * 128
+        blob = struct.pack("<QQQQ", self.MAGIC, 1024, 10_000, 1) + b"\x00" * 128
         with pytest.raises(ValueError, match="num_hashes"):
             BloomFilter.from_bytes(blob)
 
@@ -177,8 +157,10 @@ class TestBloomCorruptInput:
             BloomFilter.from_bytes(bad)
 
     def test_constructor_rejects_unknown_hash_version(self):
-        with pytest.raises(ValueError):
-            BloomFilter(1024, hash_version=3)
+        """There is one hash; the argument that chose between two is gone."""
+        for version in (1, 2, 3):
+            with pytest.raises(TypeError):
+                BloomFilter(1024, hash_version=version)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backlog import Backlog
-from repro.core.recovery import parse_run_name, rebuild_run_manager, recover_backlog
+from repro.core.lsm import parse_run_name
+from repro.core.recovery import rebuild_run_manager, recover_backlog
 from repro.fsim.blockdev import DiskBackend, MemoryBackend
 from repro.fsim.filesystem import FileSystem, FileSystemConfig
 from repro.fsim.journal import Journal

@@ -24,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro import Backlog, BacklogConfig, MemoryBackend, QuerySpec, recover_backlog
 from repro.core.bloom import (
-    FORMAT_V1,
-    FORMAT_V2,
     MAX_RANGE_BLOCKS,
     BloomFilter,
     BloomFilterBank,
@@ -61,13 +59,13 @@ def _catalogue(manager: RunManager) -> Catalogue:
 
 
 def _write_run(manager: RunManager, partition: int, table: str, blocks: Sequence[int],
-               num_bits: int, hash_version: int) -> ReadStoreReader:
+               num_bits: int) -> ReadStoreReader:
     """A run file over ``blocks``, opened with a filter of the given shape."""
     blocks = sorted(blocks)
     name = run_name(partition, table, "L0", manager.next_sequence())
     ReadStoreWriter(manager.backend, name, table).build(
         [_RECORD[table](block) for block in blocks])
-    bloom = BloomFilter(num_bits, 4, hash_version=hash_version)
+    bloom = BloomFilter(num_bits, 4)
     bloom.add_many(blocks)
     return ReadStoreReader(manager.backend, name, bloom=bloom)
 
@@ -81,7 +79,6 @@ _runs = st.lists(
         st.integers(1, 700),                        # spread
         st.integers(1, 40),                         # blocks
         st.sampled_from(FILTER_BITS),
-        st.sampled_from([FORMAT_V1, FORMAT_V2]),
         st.integers(0, 2**32),                      # the run's own seed
     ),
     max_size=14,
@@ -95,7 +92,7 @@ _queries = st.lists(st.tuples(st.integers(0, BLOCK_SPACE + 300), _widths),
 
 
 def _blocks_of(description: Tuple) -> List[int]:
-    _table, low, spread, count, _bits, _version, seed = description
+    _table, low, spread, count, _bits, seed = description
     rng = random.Random(seed)
     return sorted({low + rng.randrange(spread) for _ in range(count)})
 
@@ -126,14 +123,14 @@ def _assert_matches_walk(snapshot: CatalogueSnapshot,
 
 class TestBloomFilterBank:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(FILTER_BITS), st.sampled_from([FORMAT_V1, FORMAT_V2]),
+    @given(st.sampled_from(FILTER_BITS),
            st.lists(st.lists(st.integers(0, 5000), max_size=60), min_size=1, max_size=20),
            st.lists(st.integers(0, 5200), min_size=1, max_size=40), st.integers(0, 19))
-    def test_probe_answers_for_every_member(self, num_bits, version, members, keys, cut):
+    def test_probe_answers_for_every_member(self, num_bits, members, keys, cut):
         """Bit ``8 * i`` of a probe is member ``i``'s own ``might_contain``."""
         filters = []
         for blocks in members:
-            bloom = BloomFilter(num_bits, 4, hash_version=version)
+            bloom = BloomFilter(num_bits, 4)
             bloom.add_many(sorted(blocks))
             filters.append(bloom)
         cut = min(cut, len(filters) - 1)
@@ -141,22 +138,20 @@ class TestBloomFilterBank:
         assert len(bank) == len(filters)
         assert bank.size_bytes == sum(bloom.size_bytes for bloom in filters)
         for key in keys:
-            hits = bank.probe([hash_pair(key, version)])
+            hits = bank.probe([hash_pair(key)])
             assert [index for index in range(len(filters)) if hits >> (8 * index) & 1] \
                 == [index for index, bloom in enumerate(filters) if bloom.might_contain(key)]
             assert not hits & ~int.from_bytes(b"\x01" * len(filters), "little")
         # Several keys: any one present admits the member, as a range probe does.
         for first in keys[:6]:
-            hits = bank.probe([hash_pair(key, version)
-                               for key in range_probe_keys(first, 40, version)])
+            hits = bank.probe([hash_pair(key) for key in range_probe_keys(first, 40)])
             assert [index for index in range(len(filters)) if hits >> (8 * index) & 1] \
                 == [index for index, bloom in enumerate(filters)
                     if bloom.might_contain_range(first, 40)]
 
     def test_members_must_share_a_shape(self):
         small, large = BloomFilter(1024), BloomFilter(2048)
-        legacy = BloomFilter(1024, hash_version=FORMAT_V1)
-        for odd in (large, legacy, BloomFilter(1024, num_hashes=3)):
+        for odd in (large, BloomFilter(1024, num_hashes=3)):
             try:
                 BloomFilterBank([small, odd])
             except ValueError:
@@ -174,13 +169,13 @@ class TestIndexMatchesReferenceWalk:
     @settings(max_examples=60, deadline=None)
     @given(_runs, _runs, _queries)
     def test_any_partition_any_range(self, first_partition, second_partition, queries):
-        """Mixed filter sizes and hash versions, all four range classes, edges."""
+        """Mixed filter sizes, all four range classes, edges."""
         manager = RunManager(MemoryBackend())
         for partition, descriptions in ((0, first_partition), (3, second_partition)):
             for description in descriptions:
                 manager.add_run(partition, description[0], _write_run(
                     manager, partition, description[0], _blocks_of(description),
-                    description[4], description[5]))
+                    description[4]))
         with _catalogue(manager).select() as snapshot:
             runs = [run for p in snapshot.partitions() for run in snapshot.runs_for(p)]
             _assert_matches_walk(snapshot, list(queries) + _edge_queries(runs))
@@ -192,7 +187,7 @@ class TestIndexMatchesReferenceWalk:
         catalogue = _catalogue(manager)
         with catalogue.select() as snapshot:
             assert snapshot.runs_for_block_range([0, 1], 0, 10) == []
-        only = _write_run(manager, 0, "from", [10, 20, 30], 1024, FORMAT_V2)
+        only = _write_run(manager, 0, "from", [10, 20, 30], 1024)
         manager.add_run(0, "from", only)
         with catalogue.select() as snapshot:
             assert snapshot.runs_for_block_range([0], 20, 1) == [only]
@@ -216,7 +211,7 @@ class TestIndexMatchesReferenceWalk:
 
         def add(description):
             reader = _write_run(manager, 0, description[0], _blocks_of(description),
-                                description[4], description[5])
+                                description[4])
             manager.add_run(0, description[0], reader)
             return reader
 
@@ -233,7 +228,7 @@ class TestIndexMatchesReferenceWalk:
                     keep = {"from": [], "to": [], "combined": []}
                     keep[description[0]].append(_write_run(
                         manager, 0, description[0], _blocks_of(description),
-                        description[4], description[5]))
+                        description[4]))
                     manager.replace_partition(0, keep)
                 elif before:
                     assert manager.quarantine_run(before[description[1] % len(before)].name)
@@ -253,12 +248,12 @@ class TestIndexMatchesReferenceWalk:
         for partition in (0, 1):
             for low in (0, 100, 200):
                 manager.add_run(partition, "from", _write_run(
-                    manager, partition, "from", range(low, low + 50), 1024, FORMAT_V2))
+                    manager, partition, "from", range(low, low + 50), 1024))
         with catalogue.select() as snapshot:
             snapshot.runs_for_block_range([0, 1], 10, 1)
             built = dict(snapshot._index)
         assert sorted(built) == [0, 1]
-        added = _write_run(manager, 1, "from", range(300, 350), 1024, FORMAT_V2)
+        added = _write_run(manager, 1, "from", range(300, 350), 1024)
         manager.add_run(1, "from", added)
         with catalogue.select() as snapshot:
             assert snapshot._index is not built
@@ -332,7 +327,7 @@ def _aged_partition(runs: int, seed: int = 7) -> Tuple[RunManager, List[int]]:
         blocks = sorted({rng.randrange(space) for _ in range(blocks_per_run)})
         manager.add_run(0, "from" if index % 2 else "to",
                         _write_run(manager, 0, "from" if index % 2 else "to",
-                                   blocks, 2048, FORMAT_V2))
+                                   blocks, 2048))
     return manager, [rng.randrange(space) for _ in range(300)]
 
 

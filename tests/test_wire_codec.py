@@ -45,7 +45,7 @@ from repro.core.records import INFINITY, BackReference, ReferenceKey
 from repro.fsim.faults import FaultPlan
 
 _AUTHORITY = {0: [1, 2, 9], 3: None, 7: []}
-_TOKEN = encode_resume_token(ReferenceKey(100, 5, 0, 0), shard=1)
+_TOKEN = encode_resume_token(ReferenceKey(100, 5, 0, 0))
 _SPEC = {"first_block": 64, "num_blocks": 128, "version_window": (2, 9),
          "live_only": True, "lines": frozenset({0, 3}), "inodes": frozenset({5}),
          "limit": 40, "resume_token": _TOKEN}

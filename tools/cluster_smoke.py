@@ -7,8 +7,9 @@ HTTP client, the coordinator daemon, and its N spawned shard workers:
 1. spawn ``python -m repro serve --shards 3 --port 0 --churn`` and parse
    both banners: ``cluster workers: <pid> <pid> <pid>`` and the ephemeral
    port from ``serving on http://...``,
-2. drive concurrent paginating sessions (resume tokens carry the v2 shard
-   component here) while the churn thread keeps checkpointing the cluster,
+2. drive concurrent paginating sessions (the coordinator mints the engine's
+   own ``bkq1.`` resume tokens) while the churn thread keeps checkpointing
+   the cluster,
 3. check ``GET /stats`` reports the cluster section: 3 shards, a published
    consistency point, and the advertised worker pids,
 4. SIGKILL one shard worker outright, then keep querying: the coordinator
@@ -68,7 +69,7 @@ def paginate(port: int, worker: int, errors, results=None):
     """One session: paginate the whole block range on a keep-alive link."""
     try:
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-        token, owners, saw_v2_token = None, 0, False
+        token, owners, saw_token = None, 0, False
         while True:
             payload = {"first_block": 0, "num_blocks": 1 << 22,
                        "limit": PAGE_LIMIT + worker}
@@ -81,12 +82,12 @@ def paginate(port: int, worker: int, errors, results=None):
             if page["exhausted"]:
                 break
             token = page["resume_token"]
-            saw_v2_token = saw_v2_token or (token or "").startswith("bkq2.")
+            saw_token = saw_token or (token or "").startswith("bkq1.")
         conn.close()
         if owners == 0:
             raise AssertionError("session saw no owners at all")
-        if not saw_v2_token:
-            raise AssertionError("cluster pagination never issued a v2 token")
+        if not saw_token:
+            raise AssertionError("cluster pagination never issued a bkq1. token")
         if results is not None:
             results[worker] = owners
         print(f"  session {worker}: {owners} owners")
