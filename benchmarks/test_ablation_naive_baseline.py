@@ -72,7 +72,7 @@ def test_ablation_naive_vs_backlog(benchmark, report):
         ],
         note="paper: naive design needs ~1 read-modify-write per op and grinds to a halt; "
              "Backlog needs ~0.01 writes/op and no reads",
-    ))
+    ), wall_clock=["us/op"])
 
     backlog_stats = results["backlog"]
     naive_stats = results["naive"]

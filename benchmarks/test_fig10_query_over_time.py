@@ -66,7 +66,7 @@ def test_fig10_query_performance_over_time(benchmark, report):
             "paper: maintenance improves throughput at every age; post-maintenance "
             "throughput levels off as the database grows"
         ),
-    ))
+    ), wall_clock=["queries/s"])
 
     # Maintenance improves (or at least does not hurt) query cost.  The I/O
     # reads per query are deterministic, so they carry the strict check; the

@@ -49,7 +49,7 @@ def test_fig5_synthetic_overhead(benchmark, report):
             "paper: ~0.010 writes/op and 8-9 us/op, flat over time "
             "(32,000 ops/CP on 2010 hardware)"
         ),
-    ))
+    ), wall_clock=["us_per_block_op"])
 
     mean_writes = statistics.mean(writes)
     # The log-structured design batches ~100 operations per page write; at

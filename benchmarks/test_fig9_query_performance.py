@@ -84,7 +84,7 @@ def test_fig9_query_performance(benchmark, report):
             "paper: ~290 q/s single-block after maintenance, up to ~36,000 q/s for "
             "long sorted runs; throughput drops and reads/query rise as runs accumulate"
         ),
-    ))
+    ), wall_clock=["queries/s"])
 
     by_age = {}
     for age, run_length, point in grid:

@@ -83,7 +83,7 @@ from repro.fsim import (
     TransientIOError,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "AllVersionsAuthority",

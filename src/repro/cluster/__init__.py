@@ -15,7 +15,6 @@ accounting are identical to a single-process Backlog.
 from repro.cluster.coordinator import (
     ClusterCheckpointError,
     ClusterError,
-    ClusterQueryResult,
     ShardedBacklog,
 )
 from repro.cluster.protocol import (
@@ -33,7 +32,6 @@ __all__ = [
     "ChannelClosedError",
     "ClusterCheckpointError",
     "ClusterError",
-    "ClusterQueryResult",
     "Opcode",
     "ProtocolError",
     "ShardMap",

@@ -49,7 +49,7 @@ import threading
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.config import BacklogConfig
-from repro.core.cursor import QuerySpec, encode_resume_token
+from repro.core.cursor import QueryResult, QuerySpec, encode_resume_token
 from repro.core.masking import VersionAuthority
 from repro.core.records import BackReference
 from repro.core.stats import BacklogStats, CheckpointStats, MaintenanceStats
@@ -63,7 +63,6 @@ from repro.cluster.worker import worker_main
 __all__ = [
     "ClusterError",
     "ClusterCheckpointError",
-    "ClusterQueryResult",
     "ShardedBacklog",
 ]
 
@@ -96,147 +95,6 @@ class _Worker:
 
 def _cluster_meta_path(directory: str) -> str:
     return os.path.join(directory, "cluster.meta.json")
-
-
-class ClusterQueryResult:
-    """The cluster's lazy scatter-gather cursor.
-
-    Mirrors :class:`~repro.core.cursor.QueryResult`'s surface -- iteration,
-    the terminal helpers, ``emitted`` / ``exhausted`` / ``resume_token`` --
-    over pages fetched from the owning shards.  Sub-queries are issued
-    per partition, in ascending partition order, each drained completely
-    before the next partition is opened: the same partition-boundary merge
-    the in-process lazy gather performs, so emission order is globally
-    sorted and ``.first()`` on a whole-device range contacts only the shard
-    owning the first partition.
-
-    Tokens minted here are the engine's own: the owner identity, nothing
-    about shards.  Routing on resume is by block, so cluster tokens also
-    resume correctly on a single-process Backlog, on a cluster with another
-    shard count, and vice versa.
-    """
-
-    def __init__(self, cluster: "ShardedBacklog", spec: QuerySpec) -> None:
-        self._cluster = cluster
-        self.spec = spec
-        self._stream: Optional[Iterator[List[BackReference]]] = None
-        #: The shard reply being handed out, and how much of it already was.
-        self._page: List[BackReference] = []
-        self._page_pos = 0
-        self._emitted = 0
-        self._last: Optional[BackReference] = None
-        self._exhausted = False
-        self._page_full = False
-
-    # ------------------------------------------------------------ iteration
-
-    def _fetch(self) -> bool:
-        """Make the next shard reply the current page; False at the end."""
-        if self._exhausted or self._page_full:
-            return False
-        if self._stream is None:
-            spec = self.spec
-            if self._last is not None:
-                # Reopen after an early release (first()/close()): resume
-                # after the last-emitted owner, like the in-process cursor.
-                spec = spec.after(encode_resume_token(self._last))
-                if spec.limit is not None:
-                    spec = spec.with_limit(spec.limit - self._emitted)
-            self._stream = self._cluster._scatter(spec)
-        page = next(self._stream, None)
-        if page is None:
-            limit = self.spec.limit
-            if limit is None or self._emitted < limit:
-                self._exhausted = True
-            self._stream = None
-            return False
-        self._page = page
-        self._page_pos = 0
-        return True
-
-    def _emit(self, count: int) -> None:
-        """Account for ``count`` more owners of the current page handed out."""
-        self._page_pos += count
-        self._emitted += count
-        self._last = self._page[self._page_pos - 1]
-        if self.spec.limit is not None and self._emitted >= self.spec.limit:
-            self._page_full = True
-            self.close()
-
-    def __iter__(self) -> "ClusterQueryResult":
-        return self
-
-    def __next__(self) -> BackReference:
-        if self._page_pos >= len(self._page) and not self._fetch():
-            raise StopIteration
-        ref = self._page[self._page_pos]
-        self._emit(1)
-        return ref
-
-    def close(self) -> None:
-        """Abandon the cursor early, releasing the scatter generator."""
-        self._page, self._page_pos = [], 0
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
-    # ------------------------------------------------------------ terminals
-
-    def all(self) -> List[BackReference]:
-        """Drain the cursor, extending from each shard reply's list whole."""
-        owners: List[BackReference] = []
-        while self._page_pos < len(self._page) or self._fetch():
-            page = self._page
-            owners.extend(page[self._page_pos:] if self._page_pos else page)
-            self._emit(len(page) - self._page_pos)
-        return owners
-
-    def first(self) -> Optional[BackReference]:
-        ref = next(self, None)
-        self.close()
-        return ref
-
-    def one_or_none(self) -> Optional[BackReference]:
-        first = next(self, None)
-        if first is None:
-            return None
-        second = next(self, None)
-        self.close()
-        if second is not None:
-            raise ValueError(
-                f"expected at most one back reference, got several starting "
-                f"with {first} and {second}")
-        return first
-
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
-    def limit(self, limit: int) -> "ClusterQueryResult":
-        if self._stream is not None or self._emitted:
-            raise RuntimeError("limit() must be applied before iteration starts")
-        return ClusterQueryResult(self._cluster, self.spec.with_limit(limit))
-
-    # --------------------------------------------------------- cursor state
-
-    @property
-    def emitted(self) -> int:
-        return self._emitted
-
-    @property
-    def exhausted(self) -> bool:
-        return self._exhausted
-
-    @property
-    def resume_token(self) -> Optional[str]:
-        if self._exhausted:
-            return None
-        if self._last is None:
-            return self.spec.resume_token
-        return encode_resume_token(self._last)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "exhausted" if self._exhausted else f"emitted={self._emitted}"
-        return f"<ClusterQueryResult {self.spec!r} {state}>"
 
 
 class ShardedBacklog(ReferenceListener):
@@ -690,20 +548,60 @@ class ShardedBacklog(ReferenceListener):
 
     # -------------------------------------------------------------- queries
 
-    def select(self, spec: Optional[QuerySpec] = None, /, **kwargs) -> ClusterQueryResult:
-        """Open a lazy scatter-gather cursor (the cluster's ``select``)."""
+    def select(self, spec: Optional[QuerySpec] = None, /, **kwargs) -> QueryResult:
+        """Open a lazy scatter-gather cursor (the cluster's ``select``).
+
+        The cursor is the engine's own :class:`~repro.core.cursor.QueryResult`
+        -- iteration, terminal helpers, limits, ``resume_token`` -- driven by
+        this coordinator's :meth:`open_cursor` and :meth:`query_range`.
+        Sub-queries are issued per partition, in ascending partition order,
+        each drained completely before the next partition is opened: the
+        same partition-boundary merge the in-process lazy gather performs,
+        so emission order is globally sorted and ``.first()`` on a
+        whole-device range contacts only the shard owning the first
+        partition.  Tokens are the engine's own (the owner identity, nothing
+        about shards): routing on resume is by block, so cluster tokens also
+        resume on a single-process Backlog or on another shard count.
+        """
         self._ensure_open()
         if spec is None:
             spec = QuerySpec(**kwargs)
         elif kwargs:
             raise TypeError("pass either a QuerySpec or keyword fields, not both")
-        return ClusterQueryResult(self, spec)
+        return QueryResult(self, spec)
+
+    def open_cursor(self, spec: QuerySpec, *,
+                    reopened: bool = False) -> Iterator[BackReference]:
+        """The owners of ``spec``, streamed out of the shard replies in order.
+
+        What :class:`~repro.core.cursor.QueryResult` pulls from, as it does
+        from :meth:`repro.core.query.QueryEngine.open_cursor`.  ``reopened``
+        marks a re-entry of a cursor released early (``first()``): it
+        resumes an already-counted query, so only a fresh open counts one.
+        """
+        if not reopened:
+            with self._stats_lock:
+                self.stats.query.queries += 1
+                self.stats.query.cursors_opened += 1
+        return (ref for page in self._scatter(spec) for ref in page)
 
     def query(self, block: int) -> List[BackReference]:
         return self.select(QuerySpec(block)).all()
 
     def query_range(self, first_block: int, num_blocks: int) -> List[BackReference]:
-        return self.select(QuerySpec(first_block, num_blocks)).all()
+        """Every owner of the range: each shard reply's list extended whole.
+
+        The list surface an unfiltered cursor's ``all()`` delegates to;
+        counts one query, as the engine's list surface does.
+        """
+        spec = QuerySpec(first_block, num_blocks)
+        self._ensure_open()
+        with self._stats_lock:
+            self.stats.query.queries += 1
+        owners: List[BackReference] = []
+        for page in self._scatter(spec):
+            owners.extend(page)
+        return owners
 
     def owners_at_version(self, block: int, version: int) -> List[BackReference]:
         return self.select(QuerySpec(block).at_version(version)).all()
@@ -718,9 +616,10 @@ class ShardedBacklog(ReferenceListener):
     def _scatter(self, spec: QuerySpec) -> Iterator[List[BackReference]]:
         """Per-partition sub-queries against the owning shards, in order.
 
-        Yields the results of each non-empty reply: the reply's
-        list moves to the cursor whole (no reply ever exceeds what is left
-        of ``spec.limit``, so nothing is ever trimmed from one).
+        Yields the results of each non-empty reply: the reply's list moves
+        to the caller whole (no reply ever exceeds what is left of
+        ``spec.limit``, so nothing is ever trimmed from one).  Counting the
+        query is the caller's job.
 
         The decomposition (and hence each worker's page reads) depends only
         on the partitioner, never the shard count; per-shard page tallies
@@ -728,9 +627,6 @@ class ShardedBacklog(ReferenceListener):
         arrives, which is what keeps ``pages_read`` exact across the
         process boundary.
         """
-        with self._stats_lock:
-            self.stats.query.queries += 1
-            self.stats.query.cursors_opened += 1
         resume_key = spec.resume_key
         remaining = spec.limit
         for partition, shard, first, count in self.shard_map.subranges(

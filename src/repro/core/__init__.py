@@ -13,7 +13,7 @@ from repro.core.cursor import (
 )
 from repro.core.deletion_vector import DeletionVector
 from repro.core.inheritance import CloneGraph, materialized_expand
-from repro.core.join import materialized_join, stream_join_tables
+from repro.core.join import materialized_join
 from repro.core.lsm import RunManager, merge_sorted_runs, run_name
 from repro.core.masking import (
     AllVersionsAuthority,
@@ -91,7 +91,6 @@ __all__ = [
     "materialized_expand",
     "materialized_join",
     "merge_sorted_runs",
-    "stream_join_tables",
     "parse_run_name",
     "rebuild_run_manager",
     "recover_backlog",

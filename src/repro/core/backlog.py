@@ -83,8 +83,7 @@ class Backlog(ReferenceListener):
         self.backend = backend if backend is not None else MemoryBackend()
         self.cache = PageCache(self.config.cache_bytes)
         self.partitioner = Partitioner(self.config.partition_size_blocks)
-        self.run_manager = RunManager(self.backend, cache=self.cache,
-                                      verify_checksums=self.config.verify_checksums)
+        self.run_manager = RunManager(self.backend, cache=self.cache)
         self.ws_from = WriteStore("from")
         self.ws_to = WriteStore("to")
         self.clone_graph = CloneGraph()

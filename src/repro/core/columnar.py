@@ -1,18 +1,21 @@
 """The columnar row pipeline: join and fold over big-endian record rows.
 
-The wide arm of the query engine (:mod:`repro.core.query`) never builds a
-record object: constructing one NamedTuple per record -- at leaf decode,
-under the heap merge, inside the sort-merge join, and again per
-synthesized/grouped record -- used to be the single-process hot path.  This
-module implements the record-level stages over the slab *rows* of
-:mod:`repro.core.records` instead:
+The wide arm of the query engine (:mod:`repro.core.query`) and database
+maintenance (:mod:`repro.core.compaction`) never build a record object:
+constructing one NamedTuple per record -- at leaf decode, under the heap
+merge, inside the sort-merge join, and again per synthesized/grouped record
+-- used to be the single-process hot path.  This module implements the
+record-level stages over the slab *rows* of :mod:`repro.core.records`
+instead:
 
 * a row is a fixed-width big-endian ``bytes`` string (40 B for From/To,
   48 B for Combined) whose ``memcmp`` order equals the record tuple order,
   so merging, grouping and joining need no Python objects per record;
 * :func:`join_rows_for_query` is the sort-merge join of §4.2.1 with one row
   of lookahead per input stream; CP-list joining is byte-prefix surgery
-  (``row[:40] + to_bytes``) instead of ``CombinedRecord`` construction;
+  (``row[:40] + to_bytes``) instead of ``CombinedRecord`` construction.
+  It is the one streaming join: queries fold its output, and maintenance
+  splits it into the compacted From (live rows) and Combined tables;
 * :func:`fold_rows_for_query` fuses the remaining per-record stages --
   clone expansion (:func:`repro.core.inheritance.expand_row_group`),
   snapshot masking (one ``valid_versions`` lookup per distinct line, as in
@@ -66,11 +69,10 @@ def _iter_row_key_groups(
 ) -> Iterator[Tuple[bytes, List[bytes], List[bytes], List[bytes]]]:
     """Walk three sorted row streams in lock step, one join key at a time.
 
-    The row counterpart of :func:`repro.core.join._iter_key_groups`: yields
-    ``(key32, from_group, to_group, combined_group)`` for every 32-byte
-    identity prefix present in at least one stream, in ascending key order,
-    reading at most one row ahead per stream.  Group membership is a single
-    ``bytes.startswith`` (a C ``memcmp``) instead of four field compares.
+    Yields ``(key32, from_group, to_group, combined_group)`` for every
+    32-byte identity prefix present in at least one stream, in ascending key
+    order, reading at most one row ahead per stream.  Group membership is a
+    single ``bytes.startswith`` (a C ``memcmp``).
     """
     from_iter, to_iter, combined_iter = iter(frows), iter(trows), iter(crows)
     from_head = next(from_iter, None)
@@ -124,7 +126,9 @@ def join_rows_for_query(
     globally sorted.  No CP is ever converted to an integer: the ``from <
     to`` matching compares 8-byte big-endian field slices, and output rows
     are spliced from input bytes (``row + INFINITY_BE`` turns a live From
-    row into its Combined row).
+    row into its Combined row, and compaction's ``row[:40]`` turns it
+    back).  Duplicate input rows are legal and pass through; abandoning the
+    generator early is safe and stops pulling from the inputs.
 
     ``inode_filter`` is the cursor API's filter pushdown: join keys whose
     inode is not in the set are dropped *before* any CP-list joining, clone

@@ -13,12 +13,20 @@ queries.  For each partition it:
 4. writes one compacted Combined run and one compacted From run (holding the
    still-incomplete, live records), replacing all previous runs.
 
-The implementation is a streaming generator chain: the merged run iterators
-feed the deletion-vector filter, the sort-merge join
-(:func:`~repro.core.join.stream_join_tables`), the purge predicate and the
-two incremental run writers record by record, so a partition's compaction
-holds at most one unflushed output page per table (plus one decoded leaf
-page per input run) in memory -- never the partition's full record lists.
+Maintenance runs on the same big-endian rows (:mod:`repro.core.records`)
+and the same join as queries, as one streaming generator chain: each table's
+run rows (:meth:`~repro.core.read_store.ReadStoreReader.iter_rows`) merge
+through :func:`~repro.core.lsm.merge_sorted_runs`, pass the deletion
+vector's :meth:`~repro.core.deletion_vector.DeletionVector.filter_rows`, and
+meet in the query engine's sort-merge join
+(:func:`~repro.core.columnar.join_rows_for_query`).  Its sorted Combined
+view splits in two: a row ending in ``to = INFINITY`` is a live reference
+and goes back to the From table as its 40-byte From row; every other row
+is complete and, unless the purge predicate drops it, goes to the Combined
+table.  Both run writers take rows (``add_row``), so no record object is
+built and a partition's compaction holds at most one unflushed output page
+per table (plus one decoded leaf page per input run) in memory -- never the
+partition's full record lists.
 
 Entries suppressed by the deletion vector are dropped during the rewrite, so
 a successful full compaction clears the vector.
@@ -28,21 +36,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from struct import Struct
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.columnar import join_rows_for_query
 from repro.core.config import BacklogConfig
 from repro.core.deletion_vector import DeletionVector
 from repro.core.executor import PartitionExecutor
 from repro.core.inheritance import CloneGraph
-from repro.core.join import stream_join_tables
-from repro.core.lsm import RunManager, run_name
+from repro.core.lsm import TABLES, RunManager, merge_sorted_runs, run_name
 from repro.core.masking import VersionAuthority
 from repro.core.read_store import CorruptPageError, ReadStoreReader, ReadStoreWriter
-from repro.core.records import CombinedRecord
+from repro.core.records import FROM_RECORD_SIZE, INFINITY_BE
 from repro.core.stats import ExecutorStats, MaintenanceStats
-from repro.util.intervals import intersect_ranges
+from repro.util.intervals import any_version_in
 
 __all__ = ["PartitionCompactionResult", "Compactor"]
+
+#: ``(line, from, to)`` off a 48-byte Combined row: the purge predicate's
+#: three fields, in one C call.
+_LINE_FROM_TO = Struct(">3Q").unpack_from
 
 
 @dataclass
@@ -216,16 +229,17 @@ class Compactor:
     def _compact_streaming(
         self, partition: int, combined_name: str, from_name: str,
     ) -> tuple[int, int, int, Dict[str, List[ReadStoreReader]]]:
-        """One pass: merge -> filter -> join -> purge -> write, all lazy."""
-        counters = [0]  # records_in, shared by the three table streams
+        """One pass: merge -> filter -> join -> split/purge -> write, all lazy."""
+        runs = {table: self.run_manager.runs_for(partition, table) for table in TABLES}
+        # Every input record is read exactly once, so the run headers'
+        # counts are the records this pass takes in, deletion-vector
+        # suppressions included.
+        bound = {table: sum(run.num_records for run in runs[table]) for table in TABLES}
         vector = self.deletion_vector
 
-        def table_stream(table: str) -> Iterator:
-            for record in self.run_manager.iter_table(partition, table):
-                counters[0] += 1
-                if vector and vector.is_suppressed(record):
-                    continue
-                yield record
+        def table_rows(table: str):
+            rows = merge_sorted_runs([run.iter_rows() for run in runs[table]])
+            return vector.filter_rows(rows) if vector else rows
 
         combined_writer = ReadStoreWriter(
             self.run_manager.backend, combined_name, "combined",
@@ -236,52 +250,49 @@ class Compactor:
         # Every complete record consumes one To or one earlier Combined
         # record, and every leftover From is an input From: the inputs bound
         # the outputs, so neither filter starts at its configured maximum.
-        runs_for = self.run_manager.runs_for
-        bound = {table: sum(run.num_records for run in runs_for(partition, table))
-                 for table in ("from", "to", "combined")}
         combined_writer.begin(max_records=bound["to"] + bound["combined"])
         from_writer.begin(max_records=bound["from"])
+        add_combined = combined_writer.add_row
+        add_from = from_writer.add_row
 
         purged = 0
+        keep = self._should_keep
         pinned_cache: Dict[int, Optional[Sequence[int]]] = {}
-        joined = stream_join_tables(
-            table_stream("from"), table_stream("to"), table_stream("combined"))
-        for table, record in joined:
-            if table == "combined":
-                if self._should_keep(record, pinned_cache):
-                    combined_writer.add(record)
-                else:
-                    purged += 1
+        for row in join_rows_for_query(
+                table_rows("from"), table_rows("to"), table_rows("combined")):
+            if row.endswith(INFINITY_BE):
+                # Live: the reference stays incomplete in the From table.
+                add_from(row[:FROM_RECORD_SIZE])
+            elif keep(row, pinned_cache):
+                add_combined(row)
             else:
-                from_writer.add(record)
+                purged += 1
 
         records_out = combined_writer.num_records_added + from_writer.num_records_added
         new_runs: Dict[str, List[ReadStoreReader]] = {"combined": [], "from": [], "to": []}
         for table, writer in (("combined", combined_writer), ("from", from_writer)):
-            built = writer.finish(cache=self.run_manager.cache,
-                                  verify_checksums=self.run_manager.verify_checksums)
+            built = writer.finish(cache=self.run_manager.cache)
             if built is not None:
                 new_runs[table].append(built)
-        return counters[0], records_out, purged, new_runs
+        return sum(bound.values()), records_out, purged, new_runs
 
     # ------------------------------------------------------------ internals
 
-    def _should_keep(self, record: CombinedRecord,
+    def _should_keep(self, row: bytes,
                      pinned_cache: Dict[int, Optional[Sequence[int]]]) -> bool:
-        """Purge predicate: can any surviving version still need this record?"""
-        line = record.line
+        """Purge predicate over a complete Combined row: can any surviving
+        version still need it?"""
+        line, start, stop = _LINE_FROM_TO(row, 24)
         # Override records (from == 0) of a clone line are tombstones
         # that suppress structural inheritance from the parent snapshot.
         # Purging one would silently resurrect the inherited reference,
         # so they are kept for as long as the clone line exists.
-        if record.is_override and self.clone_graph.parent_of(line) is not None:
+        if start == 0 and self.clone_graph.parent_of(line) is not None:
             return True
         if line not in pinned_cache:
             pinned_cache[line] = self._pinned_versions(line)
         pinned = pinned_cache[line]
-        if pinned is None:
-            return True
-        return bool(intersect_ranges([(record.from_cp, record.to_cp)], pinned))
+        return pinned is None or any_version_in(pinned, start, stop)
 
     def _pinned_versions(self, line: int) -> Optional[Sequence[int]]:
         """Versions that pin records of ``line`` against purging.

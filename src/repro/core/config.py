@@ -123,13 +123,6 @@ class BacklogConfig:
         snapshot deletion, and are discarded if the
         write stores changed since parking.  ``0`` disables parking
         entirely (every resumed page rebuilds the pipeline from the token).
-    verify_checksums:
-        When True (the default), every leaf/index page decoded by the query
-        and compaction paths is verified against its stored CRC32; a
-        mismatch raises :class:`~repro.core.read_store.CorruptPageError`,
-        which those paths convert into quarantine + degraded operation.
-        ``False`` skips the per-decode check; ``repro scrub`` and run-open
-        header verification are unaffected by this flag.
     io_retries:
         How many times a transient storage fault (``TransientIOError``,
         ``EINTR``/``EAGAIN``/``EIO``) inside a flush or compaction job is
@@ -164,7 +157,6 @@ class BacklogConfig:
     cluster_shards: int = field(
         default_factory=lambda: _workers_from_env("REPRO_CLUSTER_SHARDS"))
     resume_cache_size: int = 4
-    verify_checksums: bool = True
     io_retries: int = 2
     io_retry_backoff_s: float = 0.002
     io_retry_backoff_multiplier: float = 2.0

@@ -251,10 +251,17 @@ class QuerySpec:
 class QueryResult:
     """A lazy, single-use cursor over one query's back references.
 
-    Created by :meth:`repro.core.backlog.Backlog.select`; nothing is read
-    from disk until the cursor is driven.  The cursor is an iterator --
-    ``for ref in result`` streams owners in ``(block, inode, offset, line)``
-    order -- and the terminal helpers pull exactly as much as they need.
+    Created by :meth:`repro.core.backlog.Backlog.select` and by the cluster
+    coordinator's :meth:`repro.cluster.ShardedBacklog.select`; nothing is
+    read until the cursor is driven.  The cursor is an iterator -- ``for ref
+    in result`` streams owners in ``(block, inode, offset, line)`` order --
+    and the terminal helpers pull exactly as much as they need.
+
+    ``engine`` is whatever answers the query: a
+    :class:`~repro.core.query.QueryEngine` or a coordinator, anything with
+    ``open_cursor(spec, *, reopened)`` (a closable owner iterator, counting
+    a query unless ``reopened``) and ``query_range(first_block,
+    num_blocks)`` (the list surface).
 
     A cursor is *single use*: iteration state is shared between ``__iter__``,
     the terminal helpers and :attr:`resume_token`, exactly like a file

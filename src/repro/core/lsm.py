@@ -8,8 +8,8 @@ runs accumulate until database maintenance merges them -- together with any
 existing Combined run -- into a single compacted run per partition.
 
 :class:`RunManager` is the catalogue of live runs.  It tracks, for every
-partition, the ordered list of runs per table, keeps their Bloom filters in
-memory and provides merged iteration for compaction.  The query engine's
+partition, the ordered list of runs per table and keeps their Bloom filters
+in memory.  The query engine's
 "which runs might contain this block range?" question is answered from a
 pinned copy of the catalogue (:mod:`repro.core.catalogue`), through a
 per-partition run index whose storage and invalidation live here, beside the
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.read_store import ReadStoreReader, ReadStoreWriter
-from repro.core.records import CombinedRecord, FromRecord, ToRecord
 from repro.fsim.blockdev import StorageBackend
 from repro.fsim.cache import PageCache
 
@@ -82,13 +81,15 @@ def parse_run_name(name: str) -> Optional[Tuple[int, str, str, int]]:
 
 
 def merge_sorted_runs(iterators: Sequence[Iterator]) -> Iterator:
-    """Merge several already-sorted record iterators into one sorted stream.
+    """Merge several already-sorted row (or record) iterators into one stream.
 
     Merging is cheap because every run is sorted identically (§5.2); this is
-    the merge used by compaction.  Records are NamedTuples whose field order
-    *is* the sort-key order, so ``heapq.merge`` compares them natively --
-    no per-heap-operation ``sort_key()`` allocation, and ties preserve input
-    order (earlier iterators win), matching the old index tie-break.
+    the merge compaction runs over each table's
+    :meth:`~repro.core.read_store.ReadStoreReader.iter_rows` streams.
+    Big-endian rows compare with ``memcmp`` in record order (and record
+    NamedTuples natively, their field order being the sort-key order), so
+    ``heapq.merge`` needs no key function, and ties preserve input order
+    (earlier iterators win).
     """
     return heapq.merge(*iterators)
 
@@ -111,9 +112,7 @@ class RunManager:
     both :meth:`next_sequence` (a read-modify-write on the counter) and the
     catalogue dict mutations take the manager's lock.  The read accessors
     take the same lock (they copy out small lists), so queries, accounting
-    and the CLI can run concurrently with flush and maintenance; only
-    :meth:`iter_table` stays lock-free, because a maintenance worker only
-    ever iterates the runs of the partition it owns.
+    and the CLI can run concurrently with flush and maintenance.
 
     **Versioning and epoch reclamation.**  The catalogue is versioned: every
     retirement of run files (:meth:`replace_partition`,
@@ -130,11 +129,9 @@ class RunManager:
     single-threaded caller's I/O accounting unchanged.
     """
 
-    def __init__(self, backend: StorageBackend, cache: Optional[PageCache] = None,
-                 verify_checksums: bool = True) -> None:
+    def __init__(self, backend: StorageBackend, cache: Optional[PageCache] = None) -> None:
         self.backend = backend
         self.cache = cache
-        self.verify_checksums = verify_checksums
         self._partitions: Dict[int, _PartitionRuns] = {}
         self._sequence = 0
         self._lock = threading.Lock()
@@ -206,9 +203,9 @@ class RunManager:
         file) for an empty input.
 
         The run is opened once, by the writer, through the shared page cache
-        and with the Bloom filter it just built; when ``records`` is a
-        sequence its length sizes that filter, so the cost of a run follows
-        its records and not ``bloom_bits``.
+        and with the Bloom filter it just built; the record count sizes that
+        filter, so the cost of a run follows its records and not
+        ``bloom_bits``.
 
         ``retry`` (a :class:`~repro.core.executor.RetryPolicy`) is for
         direct callers only: ``records`` must then be re-iterable (a
@@ -218,8 +215,7 @@ class RunManager:
         """
         def attempt() -> Optional[ReadStoreReader]:
             writer = ReadStoreWriter(self.backend, name, table, bloom_bits=bloom_bits)
-            return writer.build(records, cache=self.cache,
-                                verify_checksums=self.verify_checksums)
+            return writer.build(records, cache=self.cache)
 
         return retry.run(attempt) if retry is not None else attempt()
 
@@ -529,14 +525,3 @@ class RunManager:
             indexes = list(self._pinned_index_cache.values())
         return (sum(run.bloom.size_bytes for p in self.partitions() for run in self.runs_for(p))
                 + sum(index.size_bytes for index in indexes))
-
-    # ------------------------------------------------------------- iteration
-
-    def iter_table(self, partition: int, table: str) -> Iterator:
-        """Merged, sorted iteration over every run of a table in a partition."""
-        iterators = [run.iter_all() for run in self.runs_for(partition, table)]
-        if not iterators:
-            return iter(())
-        if len(iterators) == 1:
-            return iterators[0]
-        return merge_sorted_runs(iterators)

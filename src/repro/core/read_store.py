@@ -25,12 +25,12 @@ Every leaf and index page header stores a CRC32 in its second field,
 covering the whole 4 KB page except the checksum field itself; the header
 page (magic ``BACKLOG2``) carries a CRC over the (page-padded) Bloom region
 and a CRC over its own bytes.  Readers verify the header checksum at open
-time and each page checksum on decode (disable with
-``verify_checksums=False``); a mismatch raises :class:`CorruptPageError`,
-which the query and compaction layers convert into quarantine + degraded
-operation.  This is the only format: a header page with any other magic --
-including the checksum-less ``BACKLOG1`` of early builds, two bits away --
-is not a read store, and opening it raises :class:`ValueError`.
+time and each page checksum on decode, always; a mismatch raises
+:class:`CorruptPageError`, which the query and compaction layers convert
+into quarantine + degraded operation.  This is the only format: a header
+page with any other magic -- including the checksum-less ``BACKLOG1`` of
+early builds, two bits away -- is not a read store, and opening it raises
+:class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from repro.core.records import (
     ToRecord,
     pack_key_prefix,
     rows_from_le_payload,
+    rows_to_le_bytes,
 )
 from repro.fsim.blockdev import PAGE_SIZE, PageFile, StorageBackend
 from repro.fsim.cache import PageCache
@@ -106,12 +107,8 @@ _KIND_TO_STRUCT = {1: FROM_STRUCT, 2: TO_STRUCT, 3: COMBINED_STRUCT}
 
 AnyRecord = Union[FromRecord, ToRecord, CombinedRecord]
 
-
-def _separator_key(record: AnyRecord) -> Tuple[int, int, int, int, int]:
-    """First five sort-key components, used as index separators."""
-    # Slicing a record NamedTuple yields a plain tuple of its leading fields,
-    # which are exactly the leading sort-key components.
-    return tuple(record[:5])
+#: An index separator: the first five sort-key fields of a leaf's first record.
+SeparatorKey = Tuple[int, int, int, int, int]
 
 
 # Per-thread scratch list reused by every bulk build() on that thread: a
@@ -147,11 +144,13 @@ class ReadStoreWriter:
 
     Two equivalent interfaces produce byte-identical files:
 
-    * :meth:`build` consumes a whole iterator at once (flush path);
-    * :meth:`begin` / :meth:`add` / :meth:`finish` accept records one at a
-      time, so a streaming producer (the compaction join) can route records
-      into several writers without materialising any table.  At most one
-      unflushed leaf page of records is buffered at any moment.
+    * :meth:`build` writes a whole sorted record sequence at once (the flush
+      path; any other iterable is materialised first);
+    * :meth:`begin` / :meth:`add_row` / :meth:`finish` accept big-endian
+      rows (:mod:`repro.core.records`) one at a time, so a streaming
+      producer -- the compaction join -- can route rows into several writers
+      without materialising any table or building a record object.  At most
+      one unflushed leaf page of rows is buffered at any moment.
 
     Either way, no file is created until the first record arrives -- quiet
     consistency points do not produce empty runs.
@@ -166,64 +165,54 @@ class ReadStoreWriter:
         self.table = table
         self.record_kind = RECORD_KINDS[table]
         self.record_size = _KIND_TO_SIZE[self.record_kind]
-        self.record_struct = _KIND_TO_STRUCT[self.record_kind]
         self.records_per_page = (PAGE_SIZE - _PAGE_HEADER.size) // self.record_size
         self.entries_per_index_page = (PAGE_SIZE - _PAGE_HEADER.size) // _INDEX_ENTRY.size
         self.bloom_bits = bloom_bits
         self._page_file: Optional[PageFile] = None
         self._open = False
 
-    def build(self, records: Iterable[AnyRecord], cache: Optional[PageCache] = None,
-              verify_checksums: bool = True) -> Optional["ReadStoreReader"]:
+    def build(self, records: Iterable[AnyRecord],
+              cache: Optional[PageCache] = None) -> Optional["ReadStoreReader"]:
         """Write all ``records`` (which must be pre-sorted) and return a reader.
 
-        Returns ``None`` without creating a file when the iterator is empty.
-        ``cache`` and ``verify_checksums`` are handed to :meth:`finish`.
+        Returns ``None`` without creating a file when there are no records.
+        ``cache`` is handed to :meth:`finish`.  An input that is not a
+        ``Sequence`` is materialised first: every run is written in bulk.
 
-        A materialised (``Sequence``) input takes the bulk path: its length
-        bounds the Bloom filter, so the filter is created at its final size
-        instead of at ``bloom_bits`` (see :meth:`begin`); the whole record
-        array's block keys are copied once into a per-thread scratch arena
-        and inserted with a single :class:`~repro.core.bloom.BloomBulkAdder`
-        chunk (instead of one chunk -- and one fresh key-list allocation --
-        per leaf); sortedness is validated with one C sweep instead of a
-        per-record compare; and records are handed to :meth:`_flush_leaf`
-        one whole leaf at a time, where each leaf body is a single flat
-        ``struct`` pack spliced into the page buffer.  The flush path always
-        hands this method the already-sorted per-partition record slice, so
-        it -- not the per-record fallback -- is what runs on the
-        least-loaded flush worker.  The adder, the leaf packer and the
-        filter sizing are all chunk-invariant, so the run file is
-        byte-identical to the streaming ``begin``/``add``/``finish`` route.
+        The record count bounds the Bloom filter, so the filter is created
+        at its final size instead of at ``bloom_bits`` (see :meth:`begin`);
+        the whole record array's block keys are copied once into a
+        per-thread scratch arena and inserted with a single
+        :class:`~repro.core.bloom.BloomBulkAdder` chunk; sortedness is
+        validated with one C sweep instead of a per-record compare; and each
+        leaf body is a single flat ``struct`` pack spliced into the page
+        buffer.  The adder, the leaf layout and the filter sizing are all
+        chunk-invariant, so the run file is byte-identical to the streaming
+        ``begin``/``add_row``/``finish`` route over the same records.
         """
-        if isinstance(records, Sequence):
-            self.begin(max_records=len(records))
-            if records:
-                self._add_sorted_sequence(records)
-        else:
-            self.begin()
-            for record in records:
-                self.add(record)
-        return self.finish(cache, verify_checksums)
+        if not isinstance(records, Sequence):
+            records = list(records)
+        self.begin(max_records=len(records))
+        if records:
+            self._add_sorted_sequence(records)
+        return self.finish(cache)
 
     def _add_sorted_sequence(self, records: Sequence[AnyRecord]) -> None:
-        """Bulk :meth:`add` of a whole run: one sweep, one Bloom chunk, whole leaves."""
+        """A whole run in bulk: one sweep, one Bloom chunk, whole leaves."""
         if not all(map(operator.le, records, islice(records, 1, None))):
             raise ValueError("records passed to ReadStoreWriter must be sorted")
         page_file = self._create_file()
         arena = _bloom_scratch_arena()
         arena.extend(map(itemgetter(0), records))
         self._bloom_adder.add_chunk(arena)
-        self._bloom_prefilled = True
         per_page = self.records_per_page
+        fields = self.record_size // 8
         for start in range(0, len(records), per_page):
             chunk = records[start:start + per_page]
-            if len(chunk) == per_page:
-                self._flush_leaf(page_file, chunk, self._leaf_keys)
-            else:
-                self._buffer.extend(chunk)
-        self._num_records += len(records)
-        self._previous = records[-1]
+            body = _flat_struct(fields, len(chunk)).pack(*chain.from_iterable(chunk))
+            self._write_leaf(page_file, body, len(chunk), tuple(chunk[0][:5]))
+        self._num_records = len(records)
+        self._max_block = records[-1][0]
 
     # ------------------------------------------------------- streaming API
 
@@ -244,13 +233,12 @@ class ReadStoreWriter:
         self._filter_bits = (self.bloom_bits if max_records is None
                              else min(self.bloom_bits, fit_bits(2 * max_records)))
         self._bloom: Optional[BloomFilter] = None
-        # True when build() already inserted every block key up front; the
-        # per-leaf inserts in _flush_leaf are skipped.
-        self._bloom_prefilled = False
         self._num_records = 0
-        self._leaf_keys: List[Tuple[Tuple[int, int, int, int, int], int]] = []
-        self._buffer: List[AnyRecord] = []
-        self._previous: Optional[AnyRecord] = None
+        self._max_block = 0
+        self._leaf_keys: List[Tuple[SeparatorKey, int]] = []
+        self._buffer: List[bytes] = []
+        # The empty row sorts before every row, so the first add_row passes.
+        self._previous = b""
         self._open = True
 
     def _create_file(self) -> PageFile:
@@ -260,55 +248,68 @@ class ReadStoreWriter:
         self._bloom_adder = self._bloom.bulk_adder()
         return self._page_file
 
-    def add(self, record: AnyRecord) -> None:
-        """Append one record; records must arrive in sort order."""
+    def add_row(self, row: bytes) -> None:
+        """Append one big-endian record row; rows must arrive in sort order.
+
+        Big-endian rows compare with ``memcmp`` in record order, so the
+        sortedness check is one bytes comparison.
+        """
         if not self._open:
             # Auto-beginning here would silently truncate a finished run of
             # the same name on the next create(); make the misuse loud.
-            raise ValueError("add() without begin() (or after finish())")
-        # Records are NamedTuples whose field order is the sort order, so
-        # they compare natively -- no per-record sort_key() allocation.
-        if self._previous is not None and record < self._previous:
+            raise ValueError("add_row() without begin() (or after finish())")
+        if row < self._previous:
             raise ValueError("records passed to ReadStoreWriter must be sorted")
-        self._previous = record
+        self._previous = row
         if self._page_file is None:
             self._create_file()
-        self._buffer.append(record)
-        self._num_records += 1
-        if len(self._buffer) == self.records_per_page:
-            self._flush_leaf(self._page_file, self._buffer, self._leaf_keys)
-            self._buffer = []
+        buffer = self._buffer
+        buffer.append(row)
+        if len(buffer) == self.records_per_page:
+            self._flush_rows()
+
+    def _flush_rows(self) -> None:
+        """Write the buffered rows as one leaf: one byteswap, one unpack."""
+        rows = self._buffer
+        self._buffer = []
+        fields = self.record_size // 8
+        body = rows_to_le_bytes(rows)
+        # One C unpack yields every field: the Bloom chunk takes each
+        # record's block, the index its first five fields.
+        values = _flat_struct(fields, len(rows)).unpack(body)
+        self._bloom_adder.add_chunk(values[::fields])
+        self._write_leaf(self._page_file, body, len(rows), values[:5])
+        self._num_records += len(rows)
+        self._max_block = values[-fields]
 
     @property
     def num_records_added(self) -> int:
         """Records accepted so far in the current incremental build."""
-        return self._num_records if self._open else 0
+        return self._num_records + len(self._buffer) if self._open else 0
 
-    def finish(self, cache: Optional[PageCache] = None,
-               verify_checksums: bool = True) -> Optional["ReadStoreReader"]:
+    def finish(self, cache: Optional[PageCache] = None) -> Optional["ReadStoreReader"]:
         """Write the index, Bloom and header pages; return a reader.
 
         Returns ``None`` (and creates no file) when no record was added.
         The returned reader is the run's one open: it is constructed with
-        ``cache`` and ``verify_checksums`` (and the filter just built, so
-        nothing is reloaded), which is why the catalogue passes its shared
+        ``cache`` (and the filter just built, so nothing is reloaded), which
+        is why the catalogue passes its shared
         :class:`~repro.fsim.cache.PageCache` here instead of reopening the
         file afterwards.
         """
         if not self._open:
             raise ValueError("finish() without begin()")
+        if self._buffer:
+            self._flush_rows()
         self._open = False
         page_file = self._page_file
         if page_file is None:
             return None
         bloom = self._bloom
         leaf_keys = self._leaf_keys
-        if self._buffer:
-            self._flush_leaf(page_file, self._buffer, leaf_keys)
-            self._buffer = []
         # Sorted input means the block bounds are just the ends of the stream.
         min_block = leaf_keys[0][0][0]
-        max_block = self._previous[0]
+        max_block = self._max_block
 
         num_leaf_pages = len(leaf_keys)
 
@@ -318,7 +319,7 @@ class ReadStoreWriter:
         current = leaf_keys
         while len(current) > 1:
             first_page = page_file.num_pages
-            next_level: List[Tuple[Tuple[int, int, int, int, int], int]] = []
+            next_level: List[Tuple[SeparatorKey, int]] = []
             for start in range(0, len(current), self.entries_per_index_page):
                 chunk = current[start:start + self.entries_per_index_page]
                 page_index = self._flush_index_page(page_file, chunk)
@@ -364,34 +365,30 @@ class ReadStoreWriter:
             bloom_crc,
         )
         page_file.append_page(body + _HEADER_CRC.pack(crc32(body)))
-        return ReadStoreReader(self.backend, self.name, cache=cache, bloom=bloom,
-                               verify_checksums=verify_checksums)
+        return ReadStoreReader(self.backend, self.name, cache=cache, bloom=bloom)
 
     # ------------------------------------------------------------ internals
 
-    def _flush_leaf(self, page_file: PageFile, records: Sequence[AnyRecord],
-                    leaf_keys: List[Tuple[Tuple[int, int, int, int, int], int]]) -> None:
-        # One bulk Bloom chunk per leaf keeps memory at O(page); the adder
-        # carries its duplicate-skipping state across leaves, so this and
-        # build()'s single whole-array chunk set exactly the same bits.
-        if not self._bloom_prefilled:
-            self._bloom_adder.add_chunk([record[0] for record in records])
-        # Pack the whole leaf as ONE flat struct pack spliced into a
-        # preallocated buffer -- a single C call instead of one pack_into per
-        # record.  The buffer is a full page so the checksum covers the
-        # padding a reader sees; the bytes are identical to a per-record
-        # pack loop, so run files don't depend on which path wrote them.
+    def _write_leaf(self, page_file: PageFile, body: bytes, count: int,
+                    first_key: SeparatorKey) -> None:
+        """Write one leaf page holding ``count`` records packed in ``body``.
+
+        Both interfaces hand over a leaf's little-endian record bytes whole
+        (one flat ``struct`` pack, or one byteswap of the rows), spliced into
+        a full-page buffer so the checksum covers the padding a reader sees:
+        run files don't depend on which interface wrote them.  The Bloom
+        inserts are the callers' -- one chunk per leaf or one per run, the
+        adder sets the same bits either way.
+        """
         payload = bytearray(PAGE_SIZE)
-        _PAGE_HEADER.pack_into(payload, 0, len(records), 0)
-        body_end = _PAGE_HEADER.size + len(records) * self.record_size
-        payload[_PAGE_HEADER.size:body_end] = _flat_struct(
-            self.record_size // 8, len(records)).pack(*chain.from_iterable(records))
-        _PAGE_HEADER.pack_into(payload, 0, len(records), _page_crc(payload))
+        payload[_PAGE_HEADER.size:_PAGE_HEADER.size + len(body)] = body
+        _PAGE_HEADER.pack_into(payload, 0, count, 0)
+        _PAGE_HEADER.pack_into(payload, 0, count, _page_crc(payload))
         page_index = page_file.append_page(bytes(payload))
-        leaf_keys.append((_separator_key(records[0]), page_index))
+        self._leaf_keys.append((first_key, page_index))
 
     def _flush_index_page(self, page_file: PageFile,
-                          entries: Sequence[Tuple[Tuple[int, int, int, int, int], int]]) -> int:
+                          entries: Sequence[Tuple[SeparatorKey, int]]) -> int:
         payload = bytearray(PAGE_SIZE)
         _PAGE_HEADER.pack_into(payload, 0, len(entries), 0)
         pack_into = _INDEX_ENTRY.pack_into
@@ -414,8 +411,7 @@ class ReadStoreReader:
 
     def __init__(self, backend: StorageBackend, name: str,
                  cache: Optional[PageCache] = None,
-                 bloom: Optional[BloomFilter] = None,
-                 verify_checksums: bool = True) -> None:
+                 bloom: Optional[BloomFilter] = None) -> None:
         self.backend = backend
         self.name = name
         self.cache = cache
@@ -442,7 +438,6 @@ class ReadStoreReader:
         if (crc32(header_page[:body_end]) != stored_crc
                 or header_page[body_end + _HEADER_CRC.size:] != _HEADER_PADDING):
             raise CorruptPageError(name, self._page_file.num_pages - 1, "header")
-        self._verify = verify_checksums
         self.record_kind = fields[1]
         self.record_size = fields[2]
         self.num_records = fields[3]
@@ -480,7 +475,7 @@ class ReadStoreReader:
             data = bytearray()
             for index in range(self.bloom_num_pages):
                 data.extend(self._read_page(self.bloom_first_page + index))
-            if self._verify and crc32(bytes(data)) != self.bloom_crc:
+            if crc32(bytes(data)) != self.bloom_crc:
                 raise CorruptPageError(self.name, self.bloom_first_page, "bloom")
             self._bloom = BloomFilter.from_bytes(bytes(data))
         return self._bloom
@@ -508,6 +503,15 @@ class ReadStoreReader:
         """Yield every record in sort order."""
         for page_index in range(self.num_leaf_pages):
             yield from self._leaf_records(page_index)
+
+    def iter_rows(self) -> Iterator[bytes]:
+        """Yield every record as a big-endian row, in sort order.
+
+        Compaction's input: one leaf page decoded at a time, no record
+        objects.
+        """
+        for page_index in range(self.num_leaf_pages):
+            yield from self._leaf_rows(page_index)
 
     def iter_from(self, block: int, inode: int = 0, offset: int = 0,
                   line: int = 0, cp: int = 0) -> Iterator[AnyRecord]:
@@ -648,7 +652,6 @@ class ReadStoreReader:
 
         Returns one :class:`CorruptPageError` per damaged page instead of
         raising, so a scrub can report the full extent of the damage.
-        The check is independent of the ``verify_checksums`` constructor flag.
         """
         problems: List[CorruptPageError] = []
         for page_index in range(self.num_leaf_pages):
@@ -682,7 +685,7 @@ class ReadStoreReader:
         """Decode a whole leaf page in one batched ``iter_unpack`` pass."""
         data = self._read_page(leaf_page_index)
         count, stored_crc = _PAGE_HEADER.unpack_from(data, 0)
-        if self._verify and _page_crc(data) != stored_crc:
+        if _page_crc(data) != stored_crc:
             raise CorruptPageError(self.name, leaf_page_index, "leaf")
         end = _PAGE_HEADER.size + count * self.record_size
         make = self._record_class._make
@@ -698,7 +701,7 @@ class ReadStoreReader:
         """
         data = self._read_page(leaf_page_index)
         count, stored_crc = _PAGE_HEADER.unpack_from(data, 0)
-        if self._verify and _page_crc(data) != stored_crc:
+        if _page_crc(data) != stored_crc:
             raise CorruptPageError(self.name, leaf_page_index, "leaf")
         end = _PAGE_HEADER.size + count * self.record_size
         return rows_from_le_payload(memoryview(data)[_PAGE_HEADER.size:end],
@@ -708,7 +711,7 @@ class ReadStoreReader:
         """One zero-copy :class:`RecordBlock` slab for a whole leaf page."""
         data = self._read_page(leaf_page_index)
         count, stored_crc = _PAGE_HEADER.unpack_from(data, 0)
-        if self._verify and _page_crc(data) != stored_crc:
+        if _page_crc(data) != stored_crc:
             raise CorruptPageError(self.name, leaf_page_index, "leaf")
         end = _PAGE_HEADER.size + count * self.record_size
         return RecordBlock.from_le_payload(memoryview(data)[_PAGE_HEADER.size:end],
@@ -743,7 +746,7 @@ class ReadStoreReader:
         """Separator keys and child page numbers of one index page."""
         data = self._read_page(page_index)
         count, stored_crc = _PAGE_HEADER.unpack_from(data, 0)
-        if self._verify and _page_crc(data) != stored_crc:
+        if _page_crc(data) != stored_crc:
             raise CorruptPageError(self.name, page_index, "index")
         end = _PAGE_HEADER.size + count * _INDEX_ENTRY.size
         keys: List[Tuple[int, ...]] = []

@@ -42,8 +42,7 @@ __all__ = ["rebuild_run_manager", "recover_backlog", "scrub_backend", "ScrubRepo
 
 
 def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = None,
-                        remove_invalid: bool = False,
-                        verify_checksums: bool = True) -> RunManager:
+                        remove_invalid: bool = False) -> RunManager:
     """Reconstruct the run catalogue by scanning the backend's files.
 
     Runs are re-registered in sequence order so that the catalogue's notion
@@ -59,9 +58,7 @@ def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = No
     every page is on disk), so it is skipped; with ``remove_invalid=True``
     it is also deleted to reclaim the space.  Its sequence number still
     advances the counter so a fresh run can never collide with the leftover
-    name.  ``verify_checksums`` is threaded into the rebuilt manager (and
-    its re-opened readers) exactly as :class:`~repro.core.config.
-    BacklogConfig.verify_checksums` would be.
+    name.
 
     A run file accompanied by a ``.retired`` tombstone was already retired
     from the catalogue -- its deletion was deferred behind a reader pinned
@@ -70,7 +67,7 @@ def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = No
     interrupted retirement is completed (file and marker deleted).  Its
     sequence number, like an invalid leftover's, still advances the counter.
     """
-    manager = RunManager(backend, cache=cache, verify_checksums=verify_checksums)
+    manager = RunManager(backend, cache=cache)
     files = list(backend.list_files())
     tombstoned = {run for run in (parse_tombstone_name(name) for name in files)
                   if run is not None}
@@ -92,8 +89,7 @@ def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = No
                     backend.delete(marker)
             continue
         try:
-            reader = ReadStoreReader(backend, name, cache=cache,
-                                     verify_checksums=verify_checksums)
+            reader = ReadStoreReader(backend, name, cache=cache)
         except (ValueError, IndexError, struct.error, OSError):
             # CorruptPageError subclasses ValueError, so a run whose header
             # fails its CRC is treated like any other invalid leftover.
@@ -156,8 +152,7 @@ def recover_backlog(
     """
     backlog = Backlog(backend=backend, config=config, version_authority=version_authority)
     backlog.run_manager = rebuild_run_manager(
-        backend, cache=backlog.cache, remove_invalid=True,
-        verify_checksums=backlog.config.verify_checksums)
+        backend, cache=backlog.cache, remove_invalid=True)
     # Re-wire the components that hold a reference to the run manager --
     # including the catalogue, which is where every pinned query snapshot
     # gets its run lists from.
@@ -241,8 +236,7 @@ def scrub_backend(backend: StorageBackend, reclaim: bool = False) -> ScrubReport
 
     The engine behind ``repro scrub``: every run-named file is opened
     (header CRC verified) and every leaf, index and Bloom page is checked
-    against its stored CRC32 regardless of the ``verify_checksums`` runtime
-    flag.  ``reclaim=True`` deletes corrupt
+    against its stored CRC32.  ``reclaim=True`` deletes corrupt
     runs and unopenable leftovers, reclaiming their space -- the database
     equivalent of dropping a damaged run from the catalogue, made durable.
 
@@ -273,7 +267,7 @@ def scrub_backend(backend: StorageBackend, reclaim: bool = False) -> ScrubReport
             report.files_deferred.append(name)
             continue
         try:
-            reader = ReadStoreReader(backend, name, verify_checksums=False)
+            reader = ReadStoreReader(backend, name)
         except CorruptPageError as error:
             # The header page itself failed its CRC: a corrupt run, not a
             # crash leftover.  (Checked before the broad catch -- this

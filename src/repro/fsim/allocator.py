@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+from repro.util.intervals import any_version_in
+
 __all__ = ["AllocatorStats", "BlockAllocator"]
 
 
@@ -185,7 +187,7 @@ class BlockAllocator:
         still_deferred: List[_DeferredFree] = []
         reclaimed: List[int] = []
         for entry in self._deferred:
-            if _any_in_range(retained, entry.first_cp, entry.last_cp):
+            if any_version_in(retained, entry.first_cp, entry.last_cp):
                 still_deferred.append(entry)
             else:
                 reclaimed.append(entry.block)
@@ -195,15 +197,3 @@ class BlockAllocator:
             self._free.sort(reverse=True)
             self.stats.reclaimed += len(reclaimed)
         return sorted(reclaimed)
-
-
-def _any_in_range(sorted_versions: Sequence[int], start: int, stop: int) -> bool:
-    """Binary search: does any retained version fall in ``[start, stop)``?"""
-    lo, hi = 0, len(sorted_versions)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_versions[mid] < start:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo < len(sorted_versions) and sorted_versions[lo] < stop

@@ -17,6 +17,7 @@ used by the public query results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -109,21 +110,17 @@ def intersect_ranges(
 
 
 def any_version_in(versions: Sequence[int], start: int, stop: int) -> bool:
-    """Binary search: is there a retained version v with start <= v < stop?
+    """Binary search: is there a version v in sorted ``versions`` with
+    start <= v < stop?
 
     The single-range masking primitive: the query pipeline calls this once
     per record (:func:`repro.core.masking.mask_records`, the row folds of
-    :mod:`repro.core.columnar`) instead of wrapping each record's range in a
-    one-element list for :func:`intersect_ranges`.
+    :mod:`repro.core.columnar`), compaction's purge predicate once per
+    complete record, and the block allocator once per deferred block per
+    reclamation -- hence C :func:`bisect.bisect_left`, not a Python loop.
     """
-    lo, hi = 0, len(versions)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if versions[mid] < start:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo < len(versions) and versions[lo] < stop
+    index = bisect_left(versions, start)
+    return index < len(versions) and versions[index] < stop
 
 
 def merge_adjacent_ranges(ranges: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:

@@ -229,6 +229,31 @@ def test_cluster_first_opens_only_shard_zero(shard_factory):
     assert queries_after[1:] == queries_before[1:]
 
 
+def test_cluster_cursor_is_the_engine_cursor(shard_factory):
+    """One cursor class: a cluster cursor reopened after ``.first()`` counts
+    one query, as the engine's does, and has the engine cursor's surface."""
+    from repro.core.backlog import Backlog
+    from repro.core.cursor import QueryResult
+
+    cluster = shard_factory(num_shards=2)
+    backlog = Backlog(config=BacklogConfig(partition_size_blocks=64))
+    answers = {}
+    for system in (backlog, cluster):
+        _fill(system)
+        system.stats.query.reset()
+        cursor = system.select(QuerySpec(0, 300))
+        assert type(cursor) is QueryResult
+        answers[system] = [cursor.first(), next(cursor)] + cursor.all()
+        assert cursor.exhausted and cursor.resume_token is None
+        assert system.stats.query.queries == system.stats.query.cursors_opened == 1
+    assert answers[cluster] == answers[backlog]
+    assert [ref.block for ref in answers[cluster]] == list(range(0, 300, 7))
+    page = cluster.select(QuerySpec(0, 300, limit=5))
+    assert page.all_rows() == answers[backlog][:5]
+    assert page.resume_token == encode_resume_token(answers[backlog][4])
+    backlog.close()
+
+
 def test_cluster_one_or_none_count_and_emitted(shard_factory):
     cluster = shard_factory(num_shards=2)
     _fill(cluster)

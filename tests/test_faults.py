@@ -407,20 +407,23 @@ def test_corrupt_filter_page_met_by_the_index_build_quarantines_its_run(surface)
     assert recovered.run_manager.quarantined == [victim.name]
 
 
-def test_verify_checksums_off_skips_decode_verification():
-    fs, backlog, backend = build_faulty_system(
-        FaultPlan(), BacklogConfig(verify_checksums=False))
+def test_checksum_verification_has_no_off_switch():
+    """Every decode verifies its page: there is no flag to turn that off,
+    and a record-data bit flip -- a page that still decodes structurally --
+    quarantines its run."""
+    with pytest.raises(TypeError):
+        BacklogConfig(verify_checksums=False)
+    with pytest.raises(TypeError):
+        ReadStoreReader(MemoryBackend(), "run", verify_checksums=False)
+    fs, backlog, backend = build_faulty_system(FaultPlan())
     fs.create_file(num_blocks=8)
     fs.take_consistency_point()
     victim = backlog.run_manager.runs_for(backlog.run_manager.partitions()[0],
                                           "from")[0]
-    # Flip a bit inside record data (past the 8-byte page header) so the
-    # page still decodes structurally -- the flag skips CRC verification.
     backend.corrupt_page(victim.name, 0, bit=240)
     backlog.clear_caches()
-    # No CorruptPageError surfaces; the flag trades integrity for speed.
     backlog.query_range(0, 4096)
-    assert backlog.stats.query.runs_quarantined == 0
+    assert backlog.stats.query.runs_quarantined == 1
 
 
 def test_compaction_quarantines_corrupt_input_run():
@@ -527,9 +530,8 @@ def test_magic_downgrade_cannot_switch_checksums_off(tmp_path, capsys):
     header_page = backend.open(run.name).num_pages - 1
     _xor_byte(backend, run.name, header_page, 0, 0x32 ^ 0x31)
     _xor_byte(backend, run.name, 0, 8 + 3, 0x10)                   # a leaf record byte
-    for verify in (True, False):
-        with pytest.raises(ValueError):
-            ReadStoreReader(backend, run.name, verify_checksums=verify)
+    with pytest.raises(ValueError):
+        ReadStoreReader(backend, run.name)
     assert rebuild_run_manager(backend).run_count() == 0
     report = scrub_backend(backend)
     assert not report.clean
@@ -547,6 +549,6 @@ def test_damaged_header_page_never_yields_a_reader(offset, mask):
     run = _write_run(backend)
     _xor_byte(backend, run.name, backend.open(run.name).num_pages - 1, offset, mask)
     with pytest.raises(ValueError):                 # CorruptPageError is one
-        ReadStoreReader(backend, run.name, verify_checksums=False)
+        ReadStoreReader(backend, run.name)
     assert rebuild_run_manager(backend).run_count() == 0
     assert not scrub_backend(backend).clean

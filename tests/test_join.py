@@ -2,8 +2,8 @@
 
 The Combined-view cases run against :func:`materialized_join` (records, any
 order) and against the row merge-join :func:`join_rows_for_query` (sorted
-packed rows); the table-split cases run against compaction's
-:func:`stream_join_tables`.
+packed rows); the table-split cases run one real compaction pass, which
+splits the same row join's output into the compacted Combined and From runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import join_rows_for_query
-from repro.core.join import materialized_join, stream_join_tables
+from repro.core.compaction import Compactor
+from repro.core.config import BacklogConfig
+from repro.core.deletion_vector import DeletionVector
+from repro.core.inheritance import CloneGraph
+from repro.core.join import materialized_join
+from repro.core.lsm import RunManager
+from repro.core.masking import AllVersionsAuthority
 from repro.core.records import (
     CombinedRecord,
     FromRecord,
@@ -21,6 +27,7 @@ from repro.core.records import (
     records_to_rows,
     rows_to_records,
 )
+from repro.fsim.blockdev import MemoryBackend
 
 
 def combined_view(froms, tos, combined=()):
@@ -34,11 +41,19 @@ def combined_view(froms, tos, combined=()):
 
 
 def split_tables(froms, tos, combined=()):
-    """``(complete, incomplete)`` tables out of compaction's tagged join."""
-    complete, incomplete = [], []
-    for table, record in stream_join_tables(sorted(froms), sorted(tos), sorted(combined)):
-        (complete if table == "combined" else incomplete).append(record)
-    return complete, incomplete
+    """``(complete, incomplete)`` tables as one compaction pass writes them.
+
+    The records become one run per table; a compactor that purges nothing
+    joins their rows and splits the output into its Combined and From runs.
+    """
+    manager = RunManager(MemoryBackend())
+    for table, records in (("from", froms), ("to", tos), ("combined", combined)):
+        manager.write_run(0, table, "L0", sorted(records), 1024)
+    Compactor(manager, BacklogConfig(), AllVersionsAuthority(), CloneGraph(),
+              DeletionVector()).compact_partition(0)
+    assert manager.runs_for(0, "to") == []
+    return ([record for run in manager.runs_for(0, "combined") for record in run.iter_all()],
+            [record for run in manager.runs_for(0, "from") for record in run.iter_all()])
 
 
 class TestPaperExamples:

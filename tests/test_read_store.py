@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from repro.core.bloom import COMBINED_FILTER_BITS, DEFAULT_FILTER_BITS
 from repro.core.read_store import ReadStoreReader, ReadStoreWriter
-from repro.core.records import CombinedRecord, FromRecord, INFINITY, ToRecord
+from repro.core.records import (
+    CombinedRecord,
+    FromRecord,
+    INFINITY,
+    ToRecord,
+    records_to_rows,
+    rows_to_records,
+)
 from repro.fsim.blockdev import MemoryBackend
 from repro.fsim.cache import PageCache
 
@@ -23,12 +30,12 @@ def _build(records, table="from", backend=None, name="p000000/from/L0_0000000001
 
 
 def _stream(records, table="from", bloom_bits=DEFAULT_FILTER_BITS, max_records=None):
-    """Build through the streaming ``begin``/``add``/``finish`` interface."""
+    """Build through the streaming ``begin``/``add_row``/``finish`` interface."""
     backend = MemoryBackend()
     writer = ReadStoreWriter(backend, "run", table, bloom_bits=bloom_bits)
     writer.begin(max_records)
-    for record in records:
-        writer.add(record)
+    for row in records_to_rows(records, 6 if table == "combined" else 5):
+        writer.add_row(row)
     return backend, writer.finish()
 
 
@@ -84,8 +91,8 @@ class TestBuild:
 
 
 class TestWriterInterfacesAgree:
-    """``build`` and ``begin``/``add``/``finish`` emit the same bytes, however
-    the Bloom filter was sized."""
+    """``build`` and ``begin``/``add_row``/``finish`` emit the same bytes,
+    however the Bloom filter was sized."""
 
     @pytest.mark.parametrize("count,stride", [
         (1, 1),         # one record: the filter starts at its 1 Kbit floor
@@ -105,6 +112,16 @@ class TestWriterInterfacesAgree:
         assert bulk.bloom.to_bytes() == unsized.bloom.to_bytes() == sized.bloom.to_bytes()
         if stride >= 64 and count > 1:
             assert bulk.bloom._keys_inserted > bulk.bloom.num_items
+
+    def test_add_row_rejects_unsorted_rows_and_use_without_begin(self):
+        writer = ReadStoreWriter(MemoryBackend(), "run", "from")
+        rows = records_to_rows(_from_records(3), 5)
+        with pytest.raises(ValueError):
+            writer.add_row(rows[0])
+        writer.begin()
+        writer.add_row(rows[1])
+        with pytest.raises(ValueError):
+            writer.add_row(rows[0])
 
     def test_no_filter_or_file_before_the_first_record(self):
         backend = MemoryBackend()
@@ -145,6 +162,7 @@ class TestIteration:
         records = _from_records(777)
         _, reader = _build(records)
         assert list(reader.iter_all()) == records
+        assert rows_to_records(list(reader.iter_rows()), FromRecord) == records
 
     def test_single_leaf_file(self):
         records = _from_records(3)

@@ -5,7 +5,7 @@ streaming code over identical inputs:
 
 * :func:`repro.core.join.materialized_join` (dict re-grouping) vs
   :func:`repro.core.columnar.join_rows_for_query` (row sort-merge join) and
-  vs :func:`repro.core.join.stream_join_tables` (compaction's join);
+  vs the compactor's split of that join into Combined and From runs;
 * ``_legacy_query`` -- gather lists, ``materialized_join``,
   ``materialized_expand``, ``mask_records``, ``QueryEngine._group`` -- vs the
   production query engine on live instances, with the narrow arm on and off.
@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.backlog import Backlog
 from repro.core.config import BacklogConfig
 from repro.core.columnar import join_rows_for_query
-from repro.core.join import materialized_join, stream_join_tables
+from repro.core.join import materialized_join
 from repro.core.masking import ExplicitVersionAuthority, mask_records
 from repro.core.inheritance import materialized_expand
 from repro.core.records import (
@@ -41,6 +41,8 @@ from repro.core.records import (
     rows_to_records,
 )
 from repro.fsim.blockdev import MemoryBackend
+
+from test_join import split_tables
 
 
 # ------------------------------------------------------------ join-level
@@ -78,27 +80,16 @@ def test_merge_join_matches_materialized_join(froms, tos, combined):
 @settings(max_examples=120, deadline=None)
 @given(_from_records, _to_records, _combined_records)
 def test_stream_join_tables_matches_join_tables(froms, tos, combined):
-    """Property: tagged streaming output splits the materialized join.
+    """Property: a compaction pass splits the materialized join.
 
     Complete records are the Combined view's bounded ones; the live rest
-    stays in the From table as ``FromRecord``s.
+    stays in the From table as ``FromRecord``s.  (The run writers reject
+    unsorted input, so the streaming split also arrives sorted per table.)
     """
     joined = materialized_join(froms, tos, combined)
-    complete_expected = [r for r in joined if r.to_cp != INFINITY]
-    incomplete_expected = [FromRecord(*r[:5]) for r in joined if r.to_cp == INFINITY]
-    complete_streamed: List[CombinedRecord] = []
-    incomplete_streamed: List[FromRecord] = []
-    for table, record in stream_join_tables(sorted(froms), sorted(tos), sorted(combined)):
-        if table == "combined":
-            complete_streamed.append(record)
-        else:
-            incomplete_streamed.append(record)
-    assert complete_streamed == complete_expected
-    assert incomplete_streamed == incomplete_expected
-    # Streaming output must arrive pre-sorted per table: the compacted run
-    # writers consume it without any buffering.
-    assert complete_streamed == sorted(complete_streamed)
-    assert incomplete_streamed == sorted(incomplete_streamed)
+    complete, incomplete = split_tables(froms, tos, combined)
+    assert complete == [r for r in joined if r.to_cp != INFINITY]
+    assert incomplete == [FromRecord(*r[:5]) for r in joined if r.to_cp == INFINITY]
 
 
 # ------------------------------------------------- seeded workload driver
