@@ -90,8 +90,7 @@ def _drive_partitioned_workload(workers: int, num_cps: int, refs_per_cp: int,
     inner = MemoryBackend()
     backend = ThrottledBackend(inner, time_scale=time_scale)
     config = BacklogConfig(partition_size_blocks=partition_blocks,
-                           flush_workers=workers, maintenance_workers=workers,
-                           track_timing=False)
+                           flush_workers=workers, maintenance_workers=workers)
     backlog = Backlog(backend=backend, config=config)
     rng = random.Random(606)
     flush_seconds = 0.0
@@ -157,8 +156,7 @@ def _build_fanout_backlog(query_workers: int, image_path: str, num_cps: int,
                            query_workers=query_workers,
                            # A tiny cache keeps every query's reads on the
                            # (throttled) device instead of memory bandwidth.
-                           cache_bytes=16 * PAGE_SIZE,
-                           track_timing=False)
+                           cache_bytes=16 * PAGE_SIZE)
     backlog = Backlog(backend=backend, config=config)
     rng = random.Random(1717)
     for cp in range(num_cps):
@@ -255,7 +253,7 @@ def _build_shard_cluster(num_shards: int, num_blocks: int,
     """
     from repro.cluster import ShardedBacklog
 
-    config = BacklogConfig(partition_size_blocks=64, track_timing=False,
+    config = BacklogConfig(partition_size_blocks=64,
                            # A tiny worker-side cache keeps every query's
                            # page reads on the (throttled) device.
                            cache_bytes=16 * PAGE_SIZE)

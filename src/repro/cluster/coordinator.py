@@ -24,20 +24,26 @@ Two-phase checkpoints
 ---------------------
 
 ``checkpoint()`` drains the per-shard update buffers, then runs **prepare**
-on every shard (each flushes its write stores -- atomically, PR 6 contract
--- and persists its shard meta), and only when *every* shard acknowledged
-does the coordinator durably publish the global CP (``cluster.meta.json``)
-and broadcast **commit**.  A shard that fails prepare (ENOSPC, torn write,
-crash) fails the whole checkpoint with every surviving shard's write
-stores intact and the coordinator's pending update log untouched, so the
-caller retries the checkpoint exactly like a failed single-process CP; a
-shard that *died* is respawned, recovered from its own meta via
-:func:`~repro.core.recovery.recover_backlog`, re-synced (clone graph,
-suppressions, zombies) and replayed the pending updates it lost.  No
-partial CP is ever visible: the published global CP only moves after all
-shards are durable, and un-checkpointed updates are always queryable from
-exactly one place (a worker's write stores, or the replay log of a worker
-being revived).
+on every shard (each flushes its write stores -- atomically -- and persists
+its shard meta), and only when *every* shard acknowledged does the
+coordinator **publish** the global CP: the durable ``cluster.meta.json`` is
+the commit record, and no second round goes to the workers.  A shard that
+fails prepare (ENOSPC, torn write, crash) fails the whole checkpoint with
+every surviving shard's write stores intact and the coordinator's pending
+update log untouched, so the caller retries the checkpoint exactly like a
+failed single-process CP; a shard that *died* is respawned, mounts its own
+runs at its meta's CP, is re-synced and replayed the pending updates it
+lost.  No partial CP is ever visible: the published global CP only moves
+after all shards are durable, and un-checkpointed updates are always
+queryable from exactly one place (a worker's write stores, or the replay
+log of a worker being revived).
+
+What the coordinator keeps for a revived worker is only what that worker
+cannot rebuild from its own runs or from the requests it is sent: clone
+parentage (file-system metadata, shipped to every worker) and each shard's
+relocation suppressions (in-memory engine state).  ``SYNC`` carries exactly
+those two.  The version-authority table rides on every masking request, and
+every update op carries its CP.
 """
 
 from __future__ import annotations
@@ -175,7 +181,6 @@ class ShardedBacklog(ReferenceListener):
         self._sent: List[int] = [0] * self.num_shards
         #: Retained cluster-wide state re-installed into revived workers.
         self._clones: List[Tuple[int, int, int]] = []
-        self._zombies: Set[Tuple[int, int]] = set()
         self._suppressed: List[Set[Tuple[int, int, int, int]]] = [
             set() for _ in range(self.num_shards)]
         self._known_lines: Set[int] = {0}
@@ -219,19 +224,16 @@ class ShardedBacklog(ReferenceListener):
         worker.channel.request(Opcode.SYNC, {
             "clones": list(self._clones),
             "suppressed": sorted(self._suppressed[worker.index]),
-            "zombies": sorted(self._zombies),
-            "authority": self._authority_state(),
-            "current_cp": self.current_cp,
         })
 
     def _revive(self, index: int) -> _Worker:
         """Respawn a dead worker and recover it to the cluster's state.
 
-        Directory-backed shards recover their durable runs through the
-        worker's own meta-driven ``recover_backlog`` mount, then receive a
-        SYNC plus a replay of every pending update the dead incarnation's
-        write stores lost.  Memory-backed shards have nothing to recover
-        from -- their death is unrecoverable data loss, reported loudly.
+        Directory-backed shards mount their durable runs and resume at the
+        CP their own meta records, then receive a SYNC plus a replay of
+        every pending update the dead incarnation's write stores lost.
+        Memory-backed shards have nothing to recover from -- their death is
+        unrecoverable data loss, reported loudly.
         """
         dead = self._workers[index]
         try:
@@ -372,27 +374,28 @@ class ShardedBacklog(ReferenceListener):
             self._clones.append((new_line, parent_line, parent_version))
             self._known_lines.add(new_line)
             for index in range(self.num_shards):
+                # No retry: the revive's SYNC already installs the clone,
+                # and a second CLONE would be refused as a duplicate.
                 try:
                     self._call(index, Opcode.CLONE, {
                         "line": new_line, "parent_line": parent_line,
-                        "parent_version": parent_version, "cp": cp})
-                except ChannelClosedError:  # pragma: no cover - revive resyncs
-                    pass
+                        "parent_version": parent_version, "cp": cp},
+                        retry=False)
+                except ChannelClosedError:
+                    pass  # revive resyncs
 
     def on_snapshot_deleted(self, line: int, version: int, is_zombie: bool,
                             cp: int) -> None:
         with self._lock:
             self._ensure_open()
-            if is_zombie:
-                self._zombies.add((line, version))
-            else:
-                self._zombies.discard((line, version))
             for index in range(self.num_shards):
+                # No retry: the event only drops parked cursors, and a
+                # revived worker has none.
                 try:
                     self._call(index, Opcode.SNAPSHOT_DELETED, {
                         "line": line, "version": version,
-                        "is_zombie": is_zombie, "cp": cp})
-                except ChannelClosedError:  # pragma: no cover - revive resyncs
+                        "is_zombie": is_zombie, "cp": cp}, retry=False)
+                except ChannelClosedError:
                     pass
 
     def on_consistency_point(self, cp: int) -> None:
@@ -462,18 +465,11 @@ class ShardedBacklog(ReferenceListener):
                     f"checkpoint {cp} failed in prepare on shard(s) {shards}: "
                     f"{failures[0][1]}") from failures[0][1]
             self._publish(cp)
-            for index in range(self.num_shards):
-                try:
-                    self._call(index, Opcode.CHECKPOINT_COMMIT, {"cp": cp})
-                except (ChannelClosedError, ClusterError):  # pragma: no cover
-                    # Commit is advisory bookkeeping; a revived worker's
-                    # durable prepare already covers the published CP.
-                    pass
             self.current_cp = cp + 1
             self._fold_checkpoint(cp, prepared)
 
     def _publish(self, cp: int) -> None:
-        """Durably publish the global CP (phase two's commit record)."""
+        """Durably publish the global CP: the checkpoint's commit record."""
         self.committed_cp = cp
         if self.directory is None:
             return

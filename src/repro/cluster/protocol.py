@@ -14,7 +14,7 @@ layouts, chosen by the opcode (nothing on this wire is ``pickle``, so a
 hostile body can at worst be *rejected*):
 
 ``JSON``
-    Every control message -- SYNC, the checkpoint phases, MAINTAIN, STATS,
+    Every control message -- SYNC, CHECKPOINT_PREPARE, MAINTAIN, STATS,
     RELOCATE, CLONE, SNAPSHOT_DELETED, FAULT, SHUTDOWN, their OK replies,
     the worker's hello and every ERROR reply -- is a UTF-8 JSON object.
     What JSON cannot say and a handler relies on is restored on decode:
@@ -87,9 +87,10 @@ MAGIC = b"BKLC"
 
 #: Bumped whenever the frame layout or any payload schema changes shape, so
 #: a mixed-version coordinator/worker pair fails its first exchange loudly.
-#: Versions 1 (pickled payloads) and 2 (packed page + pickled metadata) are
-#: gone; there is no peer left that speaks them.
-PROTOCOL_VERSION = 3
+#: Versions 1 (pickled payloads), 2 (packed page + pickled metadata) and 3
+#: (a commit round after prepare, a five-field SYNC) are gone; there is no
+#: peer left that speaks them.
+PROTOCOL_VERSION = 4
 
 _HEADER = struct.Struct("<4sBBBxI")
 
@@ -105,17 +106,16 @@ class Opcode(IntEnum):
     """Versioned message kinds (requests, then replies)."""
 
     # Coordinator -> worker requests.
-    SYNC = 1              # (re)install clone graph, suppressions, CP state
+    SYNC = 1              # (re)install clone parentage and suppressions
     UPDATE = 2            # batch of buffered add/remove reference ops
-    CHECKPOINT_PREPARE = 3  # phase one: flush write stores, persist meta
-    CHECKPOINT_COMMIT = 4   # phase two: global CP published, advance
+    CHECKPOINT_PREPARE = 3  # flush write stores, persist the shard meta
     MAINTAIN = 5          # run database maintenance on the shard
     QUERY_OPEN = 6        # open a per-partition sub-query, return a page
     QUERY_PAGE = 7        # continue a sub-query from a resume token
     STATS = 8             # shard counters (query stats, pools, sizes)
     RELOCATE = 9          # suppress stale refs of one moved block
     CLONE = 10            # register a writable clone
-    SNAPSHOT_DELETED = 11  # propagate snapshot deletion / zombie state
+    SNAPSHOT_DELETED = 11  # propagate snapshot deletion (drops parked cursors)
     FAULT = 12            # test harness: drive the shard's FaultyBackend
     SHUTDOWN = 13         # drain and exit the worker loop
 
@@ -134,7 +134,7 @@ _REQUEST_LAYOUT = {
 
 #: JSON requests that carry the coordinator's version-authority table.
 _AUTHORITY_OPCODES = frozenset({
-    Opcode.SYNC, Opcode.CHECKPOINT_PREPARE, Opcode.MAINTAIN, Opcode.RELOCATE})
+    Opcode.CHECKPOINT_PREPARE, Opcode.MAINTAIN, Opcode.RELOCATE})
 
 
 class ProtocolError(RuntimeError):
@@ -355,9 +355,9 @@ def _decode_json(kind: Opcode, body: memoryview) -> Dict[str, Any]:
     if kind in _AUTHORITY_OPCODES and "authority" in payload:
         payload["authority"] = _authority_from_json(payload["authority"])
     if kind is Opcode.SYNC:
-        # The clone graph, suppressions and zombie set are lists of tuples
-        # on the coordinator and are unpacked as such by the handler.
-        for name in ("clones", "suppressed", "zombies"):
+        # Clone parentage and suppressions are lists of tuples on the
+        # coordinator and are unpacked as such by the handler.
+        for name in ("clones", "suppressed"):
             if name in payload:
                 payload[name] = list(map(tuple, payload[name]))
     return payload

@@ -24,7 +24,7 @@ offset, line)`` emission order falls out by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.core.partitioning import Partitioner
 
@@ -92,9 +92,3 @@ class ShardMap:
             yield (partition, self.shard_of_partition(partition),
                    block, boundary - block)
             block = boundary
-
-    def partitions_of_shard(self, shard: int, num_partitions: int) -> List[int]:
-        """The first ``num_partitions``-bounded partition ids ``shard`` owns."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard must be in [0, {self.num_shards})")
-        return list(range(shard, num_partitions, self.num_shards))

@@ -24,15 +24,14 @@ A disk-backed shard persists a tiny meta file (``shard-NN.meta.json``,
 written via temp-file + ``os.replace``) after every successful checkpoint
 *prepare* and every maintenance pass::
 
-    {"cp": <last durably flushed CP>, "sequence": <max run sequence then>,
-     "committed": <last globally committed CP>}
+    {"cp": <last durably flushed CP>, "sequence": <max run sequence then>}
 
 On restart, the recovery rule is: delete every **Level-0** run whose
 sequence is greater than ``meta.sequence`` (the leftovers of a prepare
 that never completed -- they were never acknowledged to the coordinator),
-then mount whatever remains through the existing
-:func:`~repro.core.recovery.recover_backlog` path, which already skips and
-removes invalid partial files and honours ``.retired`` tombstones.
+then open an ordinary :class:`~repro.core.backlog.Backlog` over whatever
+remains; opening mounts the runs, skipping and removing invalid partial
+files and honouring ``.retired`` tombstones.
 Compaction outputs use the distinct ``compact`` level, so a crash mid-
 maintenance never rolls back completed partitions: fully written compact
 runs survive the L0-only pruning, and a partition's half-written output is
@@ -55,7 +54,6 @@ from repro.core.config import BacklogConfig
 from repro.core.cursor import QuerySpec
 from repro.core.lsm import parse_run_name
 from repro.core.masking import VersionAuthority
-from repro.core.recovery import recover_backlog
 from repro.fsim.blockdev import DiskBackend, MemoryBackend
 from repro.fsim.faults import FaultPlan, FaultyBackend
 
@@ -126,7 +124,7 @@ class _ShardWorker:
         self._time_scale = time_scale
         self.authority = _SyncedAuthority()
         self.faulty: Optional[FaultyBackend] = None
-        self.meta: Dict[str, int] = {"cp": 0, "sequence": 0, "committed": 0}
+        self.meta: Dict[str, int] = {"cp": 0, "sequence": 0}
         self._meta_path: Optional[str] = None
         self._disk: Optional[DiskBackend] = None
         self.backlog = self._mount()
@@ -136,34 +134,30 @@ class _ShardWorker:
     def _mount(self) -> Backlog:
         if self.directory is None:
             backend: Any = MemoryBackend()
-            if self._plan is not None:
-                backend = self.faulty = FaultyBackend(backend, self._plan)
-                self.faulty.disarm()
-            return Backlog(backend=self._throttled(backend), config=self.config,
-                           version_authority=self.authority)
-        self._disk = DiskBackend(shard_directory(self.directory, self.shard))
-        self._meta_path = shard_meta_path(self.directory, self.shard)
-        if os.path.exists(self._meta_path):
-            with open(self._meta_path, "r", encoding="utf-8") as handle:
-                self.meta.update(json.load(handle))
-        # The recovery rule: Level-0 runs past the last acknowledged
-        # sequence are unacknowledged prepare leftovers -- drop them before
-        # the catalogue rebuild ever sees them.  Compact-level outputs are
-        # never pruned by sequence (see the module docstring).
-        for name in list(self._disk.list_files()):
-            parsed = parse_run_name(name)
-            if (parsed is not None and parsed[2] == "L0"
-                    and parsed[3] > self.meta["sequence"]):
-                self._disk.delete(name)
-        backend = self._disk
+        else:
+            self._disk = DiskBackend(shard_directory(self.directory, self.shard))
+            self._meta_path = shard_meta_path(self.directory, self.shard)
+            if os.path.exists(self._meta_path):
+                with open(self._meta_path, "r", encoding="utf-8") as handle:
+                    self.meta.update(json.load(handle))
+            # The recovery rule: Level-0 runs past the last acknowledged
+            # sequence are unacknowledged prepare leftovers -- drop them
+            # before the mount ever sees them.  Compact-level outputs are
+            # never pruned by sequence (see the module docstring).
+            for name in list(self._disk.list_files()):
+                parsed = parse_run_name(name)
+                if (parsed is not None and parsed[2] == "L0"
+                        and parsed[3] > self.meta["sequence"]):
+                    self._disk.delete(name)
+            backend = self._disk
         if self._plan is not None:
             backend = self.faulty = FaultyBackend(backend, self._plan)
             self.faulty.disarm()
-        backlog = recover_backlog(
-            self._throttled(backend), config=self.config,
-            version_authority=self.authority,
-            current_cp=self.meta["cp"] + 1 if self.meta["cp"] else None)
+        backlog = Backlog(backend=self._throttled(backend), config=self.config,
+                          version_authority=self.authority)
         backlog.run_manager.reserve_through(self.meta["sequence"])
+        if self.meta["cp"]:
+            backlog.current_cp = self.meta["cp"] + 1
         return backlog
 
     def _throttled(self, backend):
@@ -206,8 +200,6 @@ class _ShardWorker:
             return self._handle_update(payload)
         if opcode is Opcode.CHECKPOINT_PREPARE:
             return self._handle_prepare(payload)
-        if opcode is Opcode.CHECKPOINT_COMMIT:
-            return self._handle_commit(payload)
         if opcode is Opcode.MAINTAIN:
             return self._handle_maintain(payload)
         if opcode in (Opcode.QUERY_OPEN, Opcode.QUERY_PAGE):
@@ -228,21 +220,17 @@ class _ShardWorker:
         raise ValueError(f"worker cannot handle opcode {opcode!r}")
 
     def _handle_sync(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        for line, parent, version in payload.get("clones", ()):
+        # Only what the mount cannot rebuild from the shard's own runs.  The
+        # authority table and the CP need no resync: every masking request
+        # carries its table, and every update op its CP.
+        for line, parent, version in payload["clones"]:
             try:
                 self.backlog.clone_graph.add_clone(line, parent, version)
             except ValueError:
                 pass  # already registered (SYNC is idempotent by design)
-        for block, inode, offset, line in payload.get("suppressed", ()):
+        for block, inode, offset, line in payload["suppressed"]:
             self.backlog.deletion_vector.suppress(block, inode, offset, line)
-        self.backlog.zombies = set(
-            tuple(pair) for pair in payload.get("zombies", ()))
-        self.authority.apply(payload.get("authority"))
-        current_cp = payload.get("current_cp")
-        if current_cp is not None and current_cp > self.backlog.current_cp:
-            self.backlog.current_cp = current_cp
-        return {"shard": self.shard, "cp": self.meta["cp"],
-                "current_cp": self.backlog.current_cp}
+        return {"shard": self.shard}
 
     def _handle_update(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         for kind, block, inode, offset, line, cp in payload["ops"]:
@@ -266,18 +254,13 @@ class _ShardWorker:
         last = self.backlog.stats.checkpoints[-1]
         return {"cp": cp, "stats": dataclasses.asdict(last)}
 
-    def _handle_commit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self.meta["committed"] = payload["cp"]
-        self._persist_meta()
-        return {"cp": payload["cp"]}
-
     def _handle_maintain(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         self.authority.apply(payload.get("authority"))
         result = self.backlog.maintain()
         self._persist_meta()
         return {
             "stats": dataclasses.asdict(result),
-            "deletion_vector": len(list(self.backlog.deletion_vector.keys())),
+            "deletion_vector": len(self.backlog.deletion_vector),
         }
 
     def _handle_query(self, payload: Dict[str, Any]) -> QueryPage:
@@ -305,7 +288,6 @@ class _ShardWorker:
             "pid": os.getpid(),
             "pending_updates": self.backlog.pending_updates(),
             "prepared_cp": self.meta["cp"],
-            "committed_cp": self.meta["committed"],
             "service": self.backlog.service_stats(),
         }
 
@@ -380,7 +362,6 @@ def worker_main(connection, shard: int, num_shards: int,
         "shard": shard,
         "pid": os.getpid(),
         "cp": worker.meta["cp"],
-        "committed": worker.meta["committed"],
         "recovered_runs": worker.backlog.run_manager.run_count(),
     })
     while True:

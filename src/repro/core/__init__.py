@@ -35,13 +35,8 @@ from repro.core.records import (
     ReferenceKey,
     ToRecord,
 )
-from repro.core.recovery import (
-    ScrubReport,
-    parse_run_name,
-    rebuild_run_manager,
-    recover_backlog,
-    scrub_backend,
-)
+from repro.core.lsm import parse_run_name, rebuild_run_manager
+from repro.core.recovery import ScrubReport, recover_backlog, scrub_backend
 from repro.core.stats import BacklogStats, CheckpointStats, MaintenanceStats, QueryStats
 from repro.core.verify import Mismatch, VerificationReport, verify_backlog
 from repro.core.write_store import WriteStore

@@ -47,7 +47,7 @@ Example
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.catalogue import Catalogue
 from repro.core.compaction import Compactor
@@ -56,7 +56,7 @@ from repro.core.cursor import QueryResult, QuerySpec
 from repro.core.deletion_vector import DeletionVector
 from repro.core.executor import PartitionExecutor, RetryPolicy
 from repro.core.inheritance import CloneGraph
-from repro.core.lsm import RunManager, run_name
+from repro.core.lsm import rebuild_run_manager, run_name
 from repro.core.masking import AllVersionsAuthority, VersionAuthority
 from repro.core.partitioning import Partitioner
 from repro.core.query import QueryEngine
@@ -71,7 +71,12 @@ __all__ = ["Backlog"]
 
 
 class Backlog(ReferenceListener):
-    """Log-structured back references for write-anywhere file systems."""
+    """Log-structured back references for write-anywhere file systems.
+
+    Opening one over a backend mounts the runs already stored there; what
+    the file system must re-supply after a crash is the job of
+    :func:`~repro.core.recovery.recover_backlog`.
+    """
 
     def __init__(
         self,
@@ -83,14 +88,16 @@ class Backlog(ReferenceListener):
         self.backend = backend if backend is not None else MemoryBackend()
         self.cache = PageCache(self.config.cache_bytes)
         self.partitioner = Partitioner(self.config.partition_size_blocks)
-        self.run_manager = RunManager(self.backend, cache=self.cache)
+        # New runs are named past the highest sequence on the backend, so a
+        # reopened database is never overwritten.
+        self.run_manager = rebuild_run_manager(
+            self.backend, cache=self.cache, remove_invalid=True)
         self.ws_from = WriteStore("from")
         self.ws_to = WriteStore("to")
         self.clone_graph = CloneGraph()
         self.deletion_vector = DeletionVector()
         self.version_authority = version_authority or AllVersionsAuthority()
         self.stats = BacklogStats()
-        self.zombies: Set[Tuple[int, int]] = set()
         self.current_cp = 1
         self._ops_this_cp = 0
         self._pruned_this_cp = 0
@@ -141,7 +148,6 @@ class Backlog(ReferenceListener):
         return RetryPolicy(
             attempts=1 + self.config.io_retries,
             backoff_s=self.config.io_retry_backoff_s,
-            multiplier=self.config.io_retry_backoff_multiplier,
             on_retry=lambda _error: pool_stats.count_retry(),
         )
 
@@ -163,7 +169,7 @@ class Backlog(ReferenceListener):
         point, the two events cancel: removing the buffered To entry restores
         the reference's original lifetime as a single record (§5.1).
         """
-        start = time.perf_counter() if self.config.track_timing else 0.0
+        start = time.perf_counter()
         self.stats.references_added += 1
         self._ops_this_cp += 1
         if self.config.proactive_pruning and self.ws_to.remove_key(block, inode, offset, line, cp):
@@ -171,8 +177,7 @@ class Backlog(ReferenceListener):
             self._pruned_this_cp += 1
         else:
             self.ws_from.insert(FromRecord(block, inode, offset, line, cp))
-        if self.config.track_timing:
-            self.stats.update_seconds += time.perf_counter() - start
+        self.stats.update_seconds += time.perf_counter() - start
 
     def on_reference_removed(self, block: int, inode: int, offset: int, line: int, cp: int) -> None:
         """Record a removed reference; prunes a same-CP allocation if buffered.
@@ -181,7 +186,7 @@ class Backlog(ReferenceListener):
         points never survives to disk: the buffered From entry is deleted
         instead of a To entry being added.
         """
-        start = time.perf_counter() if self.config.track_timing else 0.0
+        start = time.perf_counter()
         self.stats.references_removed += 1
         self._ops_this_cp += 1
         if self.config.proactive_pruning and self.ws_from.remove_key(block, inode, offset, line, cp):
@@ -189,8 +194,7 @@ class Backlog(ReferenceListener):
             self._pruned_this_cp += 1
         else:
             self.ws_to.insert(ToRecord(block, inode, offset, line, cp))
-        if self.config.track_timing:
-            self.stats.update_seconds += time.perf_counter() - start
+        self.stats.update_seconds += time.perf_counter() - start
 
     def on_consistency_point(self, cp: int) -> None:
         """Flush both write stores to new Level-0 read-store runs.
@@ -206,7 +210,7 @@ class Backlog(ReferenceListener):
         .py`` enforces both).  With the default ``flush_workers=1`` the jobs
         run inline, in order, in this thread.
         """
-        start = time.perf_counter() if self.config.track_timing else 0.0
+        start = time.perf_counter()
         pages_before = self.backend.stats.pages_written
         flushed = len(self.ws_from) + len(self.ws_to)
 
@@ -277,7 +281,7 @@ class Backlog(ReferenceListener):
             self.ws_from.clear()
             self.ws_to.clear()
 
-        elapsed = (time.perf_counter() - start) if self.config.track_timing else 0.0
+        elapsed = time.perf_counter() - start
         self.stats.flush_seconds += elapsed
         self.stats.consistency_points += 1
         self.stats.checkpoints.append(
@@ -322,11 +326,12 @@ class Backlog(ReferenceListener):
         self._query_engine.invalidate_parked_cursors()
 
     def on_snapshot_deleted(self, line: int, version: int, is_zombie: bool, cp: int) -> None:
-        """Track snapshot deletion; zombies keep their back references alive."""
-        if is_zombie:
-            self.zombies.add((line, version))
-        else:
-            self.zombies.discard((line, version))
+        """Drop parked cursors: a deleted snapshot changes what masking hides.
+
+        Which versions survive -- zombies included -- is the
+        :class:`~repro.core.masking.VersionAuthority`'s answer, not state
+        kept here.
+        """
         self._query_engine.invalidate_parked_cursors()
 
     # ---------------------------------------------------------- standalone API

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.bloom import COMBINED_FILTER_BITS
 from repro.core.columnar import join_rows_for_query
 from repro.core.config import BacklogConfig
 from repro.core.deletion_vector import DeletionVector
@@ -243,7 +244,7 @@ class Compactor:
 
         combined_writer = ReadStoreWriter(
             self.run_manager.backend, combined_name, "combined",
-            bloom_bits=self.config.combined_bloom_bits)
+            bloom_bits=COMBINED_FILTER_BITS)
         from_writer = ReadStoreWriter(
             self.run_manager.backend, from_name, "from",
             bloom_bits=self.config.run_bloom_bits)

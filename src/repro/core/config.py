@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.bloom import COMBINED_FILTER_BITS, DEFAULT_FILTER_BITS
+from repro.core.bloom import DEFAULT_FILTER_BITS
 
 __all__ = ["BacklogConfig"]
 
@@ -49,8 +49,9 @@ class BacklogConfig:
     ----------
     partition_size_blocks:
         Width of each horizontal partition in physical blocks.
-    run_bloom_bits / combined_bloom_bits:
-        Bloom filter sizes (in bits) for Level-0 and compacted Combined runs.
+    run_bloom_bits:
+        Bloom filter size (in bits) for Level-0 runs.  Compacted Combined
+        runs use :data:`~repro.core.bloom.COMBINED_FILTER_BITS`.
     cache_bytes:
         Page-cache capacity used by the query path.
     proactive_pruning:
@@ -131,17 +132,13 @@ class BacklogConfig:
         batch atomically (nothing is registered in the catalogue and the
         write stores keep their data, so the caller can retry the whole
         checkpoint or recover to the last complete CP).
-    io_retry_backoff_s / io_retry_backoff_multiplier:
-        Delay before the first retry, and the factor it grows by after each
-        subsequent failure of the same job.
-    track_timing:
-        When True, the manager records wall-clock time spent in reference
-        updates and flushes (used for the µs-per-operation figures).
+    io_retry_backoff_s:
+        Delay before the first retry; it doubles after each subsequent
+        failure of the same job.
     """
 
     partition_size_blocks: int = 1 << 20
     run_bloom_bits: int = DEFAULT_FILTER_BITS
-    combined_bloom_bits: int = COMBINED_FILTER_BITS
     cache_bytes: int = 32 * 1024 * 1024
     proactive_pruning: bool = True
     maintenance_interval_cps: Optional[int] = None
@@ -159,14 +156,12 @@ class BacklogConfig:
     resume_cache_size: int = 4
     io_retries: int = 2
     io_retry_backoff_s: float = 0.002
-    io_retry_backoff_multiplier: float = 2.0
-    track_timing: bool = True
 
     def __post_init__(self) -> None:
         if self.partition_size_blocks <= 0:
             raise ValueError("partition_size_blocks must be positive")
-        if self.run_bloom_bits <= 0 or self.combined_bloom_bits <= 0:
-            raise ValueError("Bloom filter sizes must be positive")
+        if self.run_bloom_bits <= 0:
+            raise ValueError("run_bloom_bits must be positive")
         if self.cache_bytes < 0:
             raise ValueError("cache_bytes must be non-negative")
         if self.maintenance_interval_cps is not None and self.maintenance_interval_cps <= 0:
@@ -184,5 +179,3 @@ class BacklogConfig:
             raise ValueError("io_retries must be non-negative")
         if self.io_retry_backoff_s < 0:
             raise ValueError("io_retry_backoff_s must be non-negative")
-        if self.io_retry_backoff_multiplier < 1.0:
-            raise ValueError("io_retry_backoff_multiplier must be >= 1.0")

@@ -15,15 +15,9 @@ clears it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set
 
-from repro.core.records import (
-    CombinedRecord,
-    FromRecord,
-    ReferenceKey,
-    ToRecord,
-    pack_key_prefix,
-)
+from repro.core.records import ReferenceKey, pack_key_prefix, unpack_row
 
 __all__ = ["DeletionVector"]
 
@@ -31,7 +25,7 @@ __all__ = ["DeletionVector"]
 class DeletionVector:
     """A set of suppressed back-reference identities.
 
-    Entries are :class:`ReferenceKey` tuples -- suppressing a key hides every
+    Entries are reference identities -- suppressing one hides every
     record (From, To, or Combined) with that ``(block, inode, offset, line)``
     identity.  This matches the relocation use case: when a block moves, all
     historical references to the old physical address become irrelevant at
@@ -39,12 +33,10 @@ class DeletionVector:
     """
 
     def __init__(self) -> None:
-        self._keys: Set[ReferenceKey] = set()
-        self._blocks: Set[int] = set()
-        # Packed big-endian mirrors of the two sets, so the columnar query
-        # pipeline can test a row's identity with two byte-slice probes and
-        # zero per-record unpacking.  Kept in lock step by suppress()/
-        # clear(); frozen views share them like they share the tuple sets.
+        # Identities and their blocks, packed big-endian the way record rows
+        # begin, so the columnar query pipeline tests a row with two
+        # byte-slice probes and zero per-record unpacking.  Frozen views
+        # share both sets.
         self._row_keys: Set[bytes] = set()
         self._row_blocks: Set[bytes] = set()
         # Cached freeze() view.  Valid until clear() rebinds the containers:
@@ -53,50 +45,28 @@ class DeletionVector:
         self._frozen_view: Optional["DeletionVector"] = None
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._row_keys)
 
     def __bool__(self) -> bool:
-        return bool(self._keys)
+        return bool(self._row_keys)
 
     def suppress(self, block: int, inode: int, offset: int, line: int) -> None:
         """Hide one reference identity."""
-        self._keys.add(ReferenceKey(block, inode, offset, line))
-        self._blocks.add(block)
         self._row_keys.add(pack_key_prefix(block, inode, offset, line))
-        self._row_blocks.add(pack_key_prefix(block))
-
-    def suppress_block(self, block: int, keys: Iterable[ReferenceKey]) -> None:
-        """Hide several identities of one relocated block at once."""
-        for key in keys:
-            if key.block != block:
-                raise ValueError(f"key {key} does not belong to block {block}")
-            self._keys.add(key)
-            self._row_keys.add(pack_key_prefix(*key))
-        self._blocks.add(block)
         self._row_blocks.add(pack_key_prefix(block))
 
     def is_suppressed(self, record) -> bool:
         """True when a From/To/Combined record should be hidden."""
-        if record.block not in self._blocks:
+        if pack_key_prefix(record.block) not in self._row_blocks:
             return False
-        return ReferenceKey(record.block, record.inode, record.offset, record.line) in self._keys
+        return pack_key_prefix(record.block, record.inode, record.offset,
+                               record.line) in self._row_keys
 
     def filter(self, records: Iterable) -> Iterator:
         """Yield only records that are not suppressed."""
         for record in records:
             if not self.is_suppressed(record):
                 yield record
-
-    def is_row_suppressed(self, row: bytes) -> bool:
-        """True when a big-endian record row should be hidden.
-
-        The columnar counterpart of :meth:`is_suppressed`: the cheap
-        block-slice probe first, the full 32-byte identity probe only for
-        rows of an affected block.
-        """
-        if row[:8] not in self._row_blocks:
-            return False
-        return row[:32] in self._row_keys
 
     def filter_rows(self, rows: Iterable[bytes]) -> Iterator[bytes]:
         """Yield only big-endian rows that are not suppressed."""
@@ -106,13 +76,9 @@ class DeletionVector:
             if row[:8] not in row_blocks or row[:32] not in row_keys:
                 yield row
 
-    def touches_block(self, block: int) -> bool:
-        """Cheap test used to skip the key lookup for unaffected blocks."""
-        return block in self._blocks
-
     def keys(self) -> Set[ReferenceKey]:
-        """The suppressed identities (compaction folds these into rewrites)."""
-        return set(self._keys)
+        """The suppressed identities."""
+        return {ReferenceKey(*unpack_row(key)) for key in self._row_keys}
 
     def freeze(self) -> "DeletionVector":
         """A view of the current suppressions for a pinned catalogue snapshot.
@@ -128,8 +94,6 @@ class DeletionVector:
         view = self._frozen_view
         if view is None:
             view = DeletionVector()
-            view._keys = self._keys
-            view._blocks = self._blocks
             view._row_keys = self._row_keys
             view._row_blocks = self._row_blocks
             self._frozen_view = view
@@ -142,12 +106,10 @@ class DeletionVector:
         view pinned before the clear keeps the suppressions that its (old,
         not-yet-rewritten) runs rely on.
         """
-        self._keys = set()
-        self._blocks = set()
         self._row_keys = set()
         self._row_blocks = set()
         self._frozen_view = None
 
     def memory_estimate_bytes(self) -> int:
         """Rough footprint; the vector is expected to stay small."""
-        return len(self._keys) * 120 + len(self._blocks) * 60
+        return len(self._row_keys) * 120 + len(self._row_blocks) * 60

@@ -115,25 +115,6 @@ class CloneGraph:
         """Versions of ``line`` at which clones were taken (pins for purge)."""
         return sorted({version for _, version in self._children.get(line, ())})
 
-    def all_lines(self) -> List[int]:
-        lines: Set[int] = set(self._parents)
-        lines.update(self._children)
-        return sorted(lines)
-
-    def descendants_of(self, line: int) -> List[int]:
-        """All transitive clone descendants of ``line``."""
-        result: List[int] = []
-        frontier = [child for child, _ in self._children.get(line, ())]
-        seen: Set[int] = set()
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            result.append(current)
-            frontier.extend(child for child, _ in self._children.get(current, ()))
-        return sorted(result)
-
 
 _ROW1_PACK = ROW_STRUCTS[1].pack
 _ZERO8 = b"\x00" * 8

@@ -19,6 +19,7 @@ run lists the pins hand out (:meth:`RunManager.pin_catalogue`).
 from __future__ import annotations
 
 import heapq
+import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -27,8 +28,9 @@ from repro.core.read_store import ReadStoreReader, ReadStoreWriter
 from repro.fsim.blockdev import StorageBackend
 from repro.fsim.cache import PageCache
 
-__all__ = ["RunManager", "run_name", "parse_run_name", "merge_sorted_runs",
-           "tombstone_name", "parse_tombstone_name", "TOMBSTONE_SUFFIX"]
+__all__ = ["RunManager", "rebuild_run_manager", "run_name", "parse_run_name",
+           "merge_sorted_runs", "tombstone_name", "parse_tombstone_name",
+           "TOMBSTONE_SUFFIX"]
 
 TABLES = ("from", "to", "combined")
 
@@ -525,3 +527,76 @@ class RunManager:
             indexes = list(self._pinned_index_cache.values())
         return (sum(run.bloom.size_bytes for p in self.partitions() for run in self.runs_for(p))
                 + sum(index.size_bytes for index in indexes))
+
+
+def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = None,
+                        remove_invalid: bool = False) -> RunManager:
+    """Reconstruct the run catalogue by scanning the backend's files.
+
+    This is how a :class:`~repro.core.backlog.Backlog` mounts its backend
+    (with ``remove_invalid=True``); on an empty backend it costs one
+    ``list_files()`` call.
+
+    Runs are re-registered in sequence order so that the catalogue's notion
+    of creation order (which matters for nothing functional, but keeps
+    diagnostics stable) matches the original.  The sequence counter is
+    advanced past the highest sequence seen so new runs get fresh names.
+
+    A run file that cannot be opened -- empty, truncated mid-write, with a
+    corrupt or foreign header (a CRC that does not match, any other magic), or
+    unreadable at the OS level -- is the remnant of a compaction that
+    crashed before registering its output, or storage damage.  Such a file
+    is not part of the database (the catalogue swap happens only after
+    every page is on disk), so it is skipped; with ``remove_invalid=True``
+    it is also deleted to reclaim the space.  Its sequence number still
+    advances the counter so a fresh run can never collide with the leftover
+    name.
+
+    A run file accompanied by a ``.retired`` tombstone was already retired
+    from the catalogue -- its deletion was deferred behind a reader pinned
+    at crash time (see :class:`RunManager`).  No pin survives a restart,
+    so such a file is never re-registered; with ``remove_invalid=True`` the
+    interrupted retirement is completed (file and marker deleted).  Its
+    sequence number, like an invalid leftover's, still advances the counter.
+    """
+    manager = RunManager(backend, cache=cache)
+    files = list(backend.list_files())
+    tombstoned = {run for run in (parse_tombstone_name(name) for name in files)
+                  if run is not None}
+    runs = []
+    for name in files:
+        parsed = parse_run_name(name)
+        if parsed is None:
+            continue
+        partition, table, level, sequence = parsed
+        runs.append((sequence, partition, table, name))
+    max_sequence = 0
+    for sequence, partition, table, name in sorted(runs):
+        max_sequence = max(max_sequence, sequence)
+        if name in tombstoned:
+            if remove_invalid:
+                backend.delete(name)
+                marker = tombstone_name(name)
+                if backend.exists(marker):
+                    backend.delete(marker)
+            continue
+        try:
+            reader = ReadStoreReader(backend, name, cache=cache)
+        except (ValueError, IndexError, struct.error, OSError):
+            # CorruptPageError subclasses ValueError, so a run whose header
+            # fails its CRC is treated like any other invalid leftover.
+            if remove_invalid:
+                backend.delete(name)
+            continue
+        manager.add_run(partition, table, reader)
+    if remove_invalid:
+        # Orphan markers -- retirement deleted the run file but crashed
+        # before removing the marker -- hold no data; finish the job.
+        present = set(files)
+        for name in files:
+            marked = parse_tombstone_name(name)
+            if marked is not None and marked not in present:
+                backend.delete(name)
+    # Advance the sequence counter so future runs do not collide.
+    manager.reserve_through(max_sequence)
+    return manager

@@ -101,6 +101,7 @@ import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict, defaultdict, deque
+from functools import partial
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -176,11 +177,11 @@ class QueryEngine:
         authority: VersionAuthority,
         deletion_vector: DeletionVector,
         config: BacklogConfig,
-        stats: Optional[QueryStats] = None,
+        stats: QueryStats,
+        catalogue: Catalogue,
+        executor: PartitionExecutor,
+        executor_stats: ExecutorStats,
         mutation_stamp: Optional[Callable[[], Tuple]] = None,
-        catalogue: Optional[Catalogue] = None,
-        executor: Optional[PartitionExecutor] = None,
-        executor_stats: Optional[ExecutorStats] = None,
     ) -> None:
         self.backend = backend
         self.run_manager = run_manager
@@ -193,12 +194,9 @@ class QueryEngine:
         self.config = config
         # Every query pins a CatalogueSnapshot from here for its whole
         # lifetime -- that pin is what keeps run files alive under the
-        # reader (see core/catalogue.py).  Standalone engines (benchmarks,
-        # tests) that do not share a Backlog's catalogue get a private one
-        # over the same components.
-        self.catalogue = catalogue if catalogue is not None else Catalogue(
-            run_manager, ws_from, ws_to, deletion_vector)
-        self.stats = stats if stats is not None else QueryStats()
+        # reader (see core/catalogue.py).
+        self.catalogue = catalogue
+        self.stats = stats
         # The session-scoped cursor resume cache: resume-token -> suspended
         # pipeline, populated when a limit-bounded page fills and consulted
         # when that token comes back (see _park_cursor / _take_parked).
@@ -215,10 +213,10 @@ class QueryEngine:
         self._parked: "OrderedDict[Tuple, Tuple[Iterator[BackReference], Tuple, Optional[CatalogueSnapshot]]]" = \
             OrderedDict()
         self._parked_lock = threading.Lock()
-        # The read-side fan-out pool (``BacklogConfig.query_workers``): when
-        # present with workers > 1, _merge_sources drains later partitions'
-        # gathers on workers while the caller consumes earlier ones.  None
-        # (or workers == 1) keeps the pipeline literally serial.
+        # The read-side fan-out pool (``BacklogConfig.query_workers``): with
+        # workers > 1, _merge_sources drains later partitions' gathers on
+        # workers while the caller consumes earlier ones; one worker keeps
+        # the pipeline literally serial.
         self._executor = executor
         self._executor_stats = executor_stats
 
@@ -836,11 +834,12 @@ class QueryEngine:
         With a fan-out pool configured and more than one ``(table,
         partition)`` bucket in play, the *drains themselves* run as pool
         jobs: each job reads its bucket's pages under its own thread-local
-        read tally and snapshot pin (the same accounting and custody
-        contract as :meth:`_submit_gather`), so the throttled page I/O of
-        later partitions overlaps instead of being paid serially before
-        dispatch -- while the per-bucket drain stays the eager C-speed
-        ``rows_for_block_range`` path, never a per-row generator.  Folding
+        read tally and snapshot pin (:meth:`_fanout_job`, the same
+        accounting and custody contract the cursor's prefetch uses), so the
+        throttled page I/O of later partitions overlaps instead of being
+        paid serially before dispatch -- while the per-bucket drain stays
+        the eager C-speed ``rows_for_block_range`` path, never a per-row
+        generator.  Folding
         each job's page count into the caller's open tally keeps
         ``pages_read`` exactly equal to serial.
         """
@@ -853,7 +852,6 @@ class QueryEngine:
             COMBINED_KIND: [],
         }
         deletion_vector = snapshot.deletion_vector
-        executor = self._executor
 
         def drain(bucket: List[ReadStoreReader]) -> List[bytes]:
             if len(bucket) == 1:
@@ -865,30 +863,13 @@ class QueryEngine:
 
         buckets = [(kind, bucket) for kind, kind_buckets in sources.items()
                    for bucket in kind_buckets if bucket]
-        if executor is not None and executor.workers > 1 and len(buckets) > 1:
-            if self._executor_stats is not None:
-                self._executor_stats.count_dispatch()
+        if self._executor.workers > 1 and len(buckets) > 1:
+            self._executor_stats.count_dispatch()
             backend_stats = self.backend.stats
-
-            def fanned(bucket: List[ReadStoreReader]):
-                release = snapshot.acquire()
-
-                def job() -> Tuple[List[bytes], int]:
-                    try:
-                        backend_stats.push_read_tally()
-                        try:
-                            rows = drain(bucket)
-                        finally:
-                            pages = backend_stats.pop_read_tally()
-                        return rows, pages
-                    finally:
-                        release()
-
-                return job
-
             drained: List[List[bytes]] = []
-            for rows, pages in executor.map(
-                    [fanned(bucket) for _, bucket in buckets],
+            for rows, pages in self._executor.map(
+                    [self._fanout_job(snapshot, partial(drain, bucket))
+                     for _, bucket in buckets],
                     self._executor_stats):
                 backend_stats.add_tallied_reads(pages)
                 drained.append(rows)
@@ -933,8 +914,7 @@ class QueryEngine:
         while the caller consumes earlier ones.
         """
         buckets = [bucket for bucket in partition_buckets if bucket]
-        executor = self._executor
-        if executor is not None and executor.workers > 1 and len(buckets) > 1:
+        if self._executor.workers > 1 and len(buckets) > 1:
             merged: Iterator = chain.from_iterable(
                 self._prefetched_streams(buckets, snapshot))
         else:
@@ -970,51 +950,56 @@ class QueryEngine:
         tally (``IOStats.add_tallied_reads``) the moment it takes the list
         -- never earlier, so per-query accounting matches serial.
 
-        Snapshot custody: every job holds its own pin
-        (:meth:`CatalogueSnapshot.acquire`), released in the job's
-        ``finally``, so in-flight gathers keep their run files alive even
-        if the consumer abandons the cursor -- abandoned futures just run
-        to completion, release their pins and have their tallied pages
-        discarded (serial would never have read them ahead either... the
-        *charge* is what must match, and unconsumed work charges nothing).
+        Snapshot custody: every job holds its own pin (:meth:`_fanout_job`),
+        so in-flight gathers keep their run files alive even if the consumer
+        abandons the cursor -- abandoned futures just run to completion,
+        release their pins and have their tallied pages discarded (serial
+        would never have read them ahead either... the *charge* is what must
+        match, and unconsumed work charges nothing).
         """
         first = buckets[0]
         yield first[0] if len(first) == 1 else heapq.merge(*first)
         executor = self._executor
         backend_stats = self.backend.stats
-        if self._executor_stats is not None:
-            self._executor_stats.count_dispatch()
+        self._executor_stats.count_dispatch()
         pending: "deque" = deque()
         index = 1
         while index < len(buckets) or pending:
             while index < len(buckets) and len(pending) < executor.workers:
-                pending.append(
-                    self._submit_gather(buckets[index], snapshot))
+                bucket = buckets[index]
+                stream = bucket[0] if len(bucket) == 1 else heapq.merge(*bucket)
+                pending.append(executor.submit(
+                    self._fanout_job(snapshot, partial(list, stream)),
+                    self._executor_stats))
                 index += 1
             records, pages = pending.popleft().result()
             backend_stats.add_tallied_reads(pages)
             yield records
 
-    def _submit_gather(self, bucket: List[Iterator],
-                       snapshot: CatalogueSnapshot):
-        """Dispatch one partition bucket's drain to the fan-out pool."""
+    def _fanout_job(self, snapshot: CatalogueSnapshot,
+                    drain: Callable[[], List]) -> Callable[[], Tuple[List, int]]:
+        """One fan-out pool job: ``drain()`` under its own pin and read tally.
+
+        The pin is taken here, on the dispatching thread, and released in
+        the job's ``finally``; the job returns the drained list with the
+        page reads it tallied, which the consumer folds into its own open
+        tally (``IOStats.add_tallied_reads``) when it takes the list.
+        """
         release = snapshot.acquire()
-        stream = bucket[0] if len(bucket) == 1 else heapq.merge(*bucket)
         backend_stats = self.backend.stats
-        executor_stats = self._executor_stats
 
         def job() -> Tuple[List, int]:
             try:
                 backend_stats.push_read_tally()
                 try:
-                    records = list(stream)
+                    drained = drain()
                 finally:
                     pages = backend_stats.pop_read_tally()
-                return records, pages
+                return drained, pages
             finally:
                 release()
 
-        return self._executor.submit(job, executor_stats)
+        return job
 
     # ---------------------------------------------------------- narrow arm
 

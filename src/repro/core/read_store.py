@@ -480,12 +480,6 @@ class ReadStoreReader:
             self._bloom = BloomFilter.from_bytes(bytes(data))
         return self._bloom
 
-    def might_contain_block(self, block: int) -> bool:
-        """Bloom + min/max test for a single block."""
-        if block < self.min_block or block > self.max_block:
-            return False
-        return self.bloom.might_contain(block)
-
     def might_contain_range(self, first_block: int, num_blocks: int) -> bool:
         if num_blocks <= 0:
             return False
@@ -512,21 +506,6 @@ class ReadStoreReader:
         """
         for page_index in range(self.num_leaf_pages):
             yield from self._leaf_rows(page_index)
-
-    def iter_from(self, block: int, inode: int = 0, offset: int = 0,
-                  line: int = 0, cp: int = 0) -> Iterator[AnyRecord]:
-        """Yield records with sort key >= the given key, in order."""
-        if self.num_leaf_pages == 0:
-            return
-        target = (block, inode, offset, line, cp)
-        leaf_index = self._find_leaf(target)
-        # Records compare against the plain key tuple in sort-key order, so a
-        # binary search inside the first leaf skips everything below the
-        # target; subsequent leaves are entirely >= it.
-        records = self._leaf_records(leaf_index)
-        yield from records[bisect_left(records, target):]
-        for page_index in range(leaf_index + 1, self.num_leaf_pages):
-            yield from self._leaf_records(page_index)
 
     def records_for_block_range(self, first_block: int, num_blocks: int) -> List[AnyRecord]:
         """All records whose block falls in ``[first_block, first_block + num_blocks)``.

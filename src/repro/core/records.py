@@ -359,7 +359,3 @@ class RecordBlock:
             else:
                 hi = mid
         return lo
-
-    def le_bytes(self) -> bytes:
-        """The view's records as little-endian payload bytes (one byteswap)."""
-        return _swapped(self.data)

@@ -7,15 +7,15 @@ the state as of the last complete CP.  What is lost is the in-memory write
 stores -- the updates made since that CP -- and those are rebuilt by replaying
 the file system's journal.
 
-This module provides the two halves of that story for the simulator:
+Opening a :class:`~repro.core.backlog.Backlog` over a backend already mounts
+the runs on it (:func:`~repro.core.lsm.rebuild_run_manager`).  This module
+adds what the file system supplies on top:
 
-* :func:`rebuild_run_manager` -- scan a storage backend for read-store runs
-  and reconstruct the run catalogue (the equivalent of mounting the
-  database after a restart);
-* :func:`recover_backlog` -- build a fresh :class:`~repro.core.backlog.Backlog`
-  over an existing backend and replay a journal into its write stores;
+* :func:`recover_backlog` -- open a Backlog over an existing backend, then
+  re-apply clone parentage, the open CP and the journal of updates since the
+  last complete CP;
 
-plus the integrity audit that complements them:
+plus the integrity audit that complements it:
 
 * :func:`scrub_backend` -- walk every run on a backend verifying page
   checksums (the engine behind ``repro scrub``), reporting -- and optionally
@@ -32,82 +32,11 @@ from repro.core.backlog import Backlog
 from repro.core.config import BacklogConfig
 from repro.core.masking import VersionAuthority
 from repro.core.read_store import CorruptPageError, ReadStoreReader
-from repro.core.lsm import (RunManager, parse_run_name, parse_tombstone_name,
-                            tombstone_name)
+from repro.core.lsm import parse_run_name, parse_tombstone_name, tombstone_name
 from repro.fsim.blockdev import StorageBackend
-from repro.fsim.cache import PageCache
 from repro.fsim.journal import Journal
 
-__all__ = ["rebuild_run_manager", "recover_backlog", "scrub_backend", "ScrubReport"]
-
-
-def rebuild_run_manager(backend: StorageBackend, cache: Optional[PageCache] = None,
-                        remove_invalid: bool = False) -> RunManager:
-    """Reconstruct the run catalogue by scanning the backend's files.
-
-    Runs are re-registered in sequence order so that the catalogue's notion
-    of creation order (which matters for nothing functional, but keeps
-    diagnostics stable) matches the original.  The sequence counter is
-    advanced past the highest sequence seen so new runs get fresh names.
-
-    A run file that cannot be opened -- empty, truncated mid-write, with a
-    corrupt or foreign header (a CRC that does not match, any other magic), or
-    unreadable at the OS level -- is the remnant of a compaction that
-    crashed before registering its output, or storage damage.  Such a file
-    is not part of the database (the catalogue swap happens only after
-    every page is on disk), so it is skipped; with ``remove_invalid=True``
-    it is also deleted to reclaim the space.  Its sequence number still
-    advances the counter so a fresh run can never collide with the leftover
-    name.
-
-    A run file accompanied by a ``.retired`` tombstone was already retired
-    from the catalogue -- its deletion was deferred behind a reader pinned
-    at crash time (see :mod:`repro.core.lsm`).  No pin survives a restart,
-    so such a file is never re-registered; with ``remove_invalid=True`` the
-    interrupted retirement is completed (file and marker deleted).  Its
-    sequence number, like an invalid leftover's, still advances the counter.
-    """
-    manager = RunManager(backend, cache=cache)
-    files = list(backend.list_files())
-    tombstoned = {run for run in (parse_tombstone_name(name) for name in files)
-                  if run is not None}
-    runs = []
-    for name in files:
-        parsed = parse_run_name(name)
-        if parsed is None:
-            continue
-        partition, table, level, sequence = parsed
-        runs.append((sequence, partition, table, name))
-    max_sequence = 0
-    for sequence, partition, table, name in sorted(runs):
-        max_sequence = max(max_sequence, sequence)
-        if name in tombstoned:
-            if remove_invalid:
-                backend.delete(name)
-                marker = tombstone_name(name)
-                if backend.exists(marker):
-                    backend.delete(marker)
-            continue
-        try:
-            reader = ReadStoreReader(backend, name, cache=cache)
-        except (ValueError, IndexError, struct.error, OSError):
-            # CorruptPageError subclasses ValueError, so a run whose header
-            # fails its CRC is treated like any other invalid leftover.
-            if remove_invalid:
-                backend.delete(name)
-            continue
-        manager.add_run(partition, table, reader)
-    if remove_invalid:
-        # Orphan markers -- retirement deleted the run file but crashed
-        # before removing the marker -- hold no data; finish the job.
-        present = set(files)
-        for name in files:
-            marked = parse_tombstone_name(name)
-            if marked is not None and marked not in present:
-                backend.delete(name)
-    # Advance the sequence counter so future runs do not collide.
-    manager.reserve_through(max_sequence)
-    return manager
+__all__ = ["recover_backlog", "scrub_backend", "ScrubReport"]
 
 
 def recover_backlog(
@@ -119,6 +48,13 @@ def recover_backlog(
     clone_parents: Optional[Iterable[Tuple[int, int, int]]] = None,
 ) -> Backlog:
     """Rebuild a Backlog instance after a simulated crash.
+
+    Opening the Backlog restores everything the database itself holds: the
+    runs of every complete CP.  What the caller must supply again, through
+    the parameters below, is what the file system keeps: the journal of
+    updates since that CP, the open CP number, and clone parentage.
+    Relocation suppressions live only in memory and are not restored (see
+    "What a restart restores" in ``docs/ARCHITECTURE.md``).
 
     Parameters
     ----------
@@ -151,15 +87,6 @@ def recover_backlog(
         on cloned lines.
     """
     backlog = Backlog(backend=backend, config=config, version_authority=version_authority)
-    backlog.run_manager = rebuild_run_manager(
-        backend, cache=backlog.cache, remove_invalid=True)
-    # Re-wire the components that hold a reference to the run manager --
-    # including the catalogue, which is where every pinned query snapshot
-    # gets its run lists from.
-    backlog._compactor.run_manager = backlog.run_manager
-    backlog._query_engine.run_manager = backlog.run_manager
-    backlog.catalogue.run_manager = backlog.run_manager
-
     if clone_parents is not None:
         for line, parent_line, parent_version in clone_parents:
             backlog.clone_graph.add_clone(line, parent_line, parent_version)

@@ -311,11 +311,3 @@ class BacklogStats:
         if self.block_ops == 0:
             return 0.0
         return (self.update_seconds + self.flush_seconds) * 1e6 / self.block_ops
-
-    def overhead_series(self) -> Dict[str, List[float]]:
-        """Per-CP series used to plot Figures 5 and 7."""
-        return {
-            "cp": [cp.cp for cp in self.checkpoints],
-            "writes_per_block_op": [cp.writes_per_block_op for cp in self.checkpoints],
-            "writes_per_persistent_op": [cp.writes_per_persistent_op for cp in self.checkpoints],
-        }

@@ -24,9 +24,9 @@ far cheaper than per-operation tree rebalancing, and record tuples compare in
 exactly the sort-key order (their fields *are* the sort key), so no key
 function is needed.
 
-There is one write store per table (From and To).  The store also remembers
-the set of distinct physical blocks it contains so that queries can consult
-it cheaply and the flush can size its Bloom filter.
+There is one write store per table (From and To).  The store also counts
+the records of each physical block it contains, so a point query for a
+block it does not hold is answered without sorting.
 """
 
 from __future__ import annotations
@@ -225,14 +225,6 @@ class WriteStore:
         with self._lock:
             return FrozenWriteStore(self._sorted_records_locked())
 
-    def records_for_key(self, block: int, inode: int, offset: int, line: int) -> List[_Record]:
-        """All buffered records with the given reference identity."""
-        with self._lock:
-            snapshot = self._sorted_records_locked()
-            lo = bisect_left(snapshot, (block, inode, offset, line))
-            hi = bisect_left(snapshot, (block, inode, offset, line + 1))
-            return snapshot[lo:hi]
-
     def records_for_block(self, block: int) -> List[_Record]:
         """All buffered records for one physical block."""
         return self.records_for_block_range(block, 1)
@@ -246,15 +238,6 @@ class WriteStore:
             lo = bisect_left(snapshot, (first_block,))
             hi = bisect_left(snapshot, (first_block + num_blocks,))
             return snapshot[lo:hi]
-
-    def may_contain_block(self, block: int) -> bool:
-        """Cheap membership check on the distinct-block index."""
-        return block in self._block_counts
-
-    def distinct_blocks(self) -> List[int]:
-        """Sorted distinct physical blocks present in the store."""
-        with self._lock:
-            return sorted(self._block_counts)
 
     def __iter__(self) -> Iterator[_Record]:
         """Yield records in ``(block, inode, offset, line, cp)`` order."""

@@ -7,6 +7,7 @@ import pytest
 from repro.core.backlog import Backlog
 from repro.core.compaction import Compactor
 from repro.core.config import BacklogConfig
+from repro.core.cursor import QuerySpec
 from repro.core.records import FromRecord, INFINITY, ToRecord
 from repro.fsim.blockdev import MemoryBackend
 
@@ -28,6 +29,11 @@ class TestConfigValidation:
             BacklogConfig(columnar_pipeline=False)
         with pytest.raises(TypeError):
             BacklogConfig(streaming_compaction=False)
+        for name, value in (("combined_bloom_bits", 1 << 20),
+                            ("io_retry_backoff_multiplier", 2.0),
+                            ("track_timing", False)):
+            with pytest.raises(TypeError):
+                BacklogConfig(**{name: value})
         backlog = Backlog()
         with pytest.raises(TypeError):
             Compactor(backlog.run_manager, backlog.config,
@@ -138,8 +144,7 @@ class TestFlushBehaviour:
         assert cp_stats.pages_written > 0
         assert backlog.stats.writes_per_block_op > 0
         assert backlog.stats.microseconds_per_block_op > 0
-        series = backlog.stats.overhead_series()
-        assert series["cp"] == [1]
+        assert [cp.cp for cp in backlog.stats.checkpoints] == [1]
 
     def test_empty_checkpoint_writes_nothing(self):
         backend = MemoryBackend()
@@ -192,11 +197,25 @@ class TestClonesAndRelocation:
         assert len(backlog.deletion_vector) == 0
 
     def test_zombie_tracking(self):
+        """Which versions survive is the version authority's answer; what a
+        snapshot deletion, zombie or not, still does is drop parked cursors."""
         backlog = Backlog()
-        backlog.on_snapshot_deleted(0, 5, True, 6)
-        assert (0, 5) in backlog.zombies
-        backlog.on_snapshot_deleted(0, 5, False, 7)
-        assert (0, 5) not in backlog.zombies
+        for block in range(20):
+            backlog.add_reference(block, 1, block)
+        backlog.checkpoint()
+
+        def resume_hits(delete_snapshot) -> int:
+            page = backlog.select(QuerySpec(0, 20, limit=5))
+            page.all()
+            delete_snapshot()
+            hits = backlog.stats.query.resume_cache_hits
+            rest = backlog.select(QuerySpec(0, 20).after(page.resume_token)).all()
+            assert [ref.block for ref in rest] == list(range(5, 20))
+            return backlog.stats.query.resume_cache_hits - hits
+
+        assert resume_hits(lambda: None) == 1
+        assert resume_hits(lambda: backlog.on_snapshot_deleted(0, 5, True, 6)) == 0
+        assert resume_hits(lambda: backlog.on_snapshot_deleted(0, 5, False, 7)) == 0
 
 
 class TestAccounting:
@@ -213,9 +232,3 @@ class TestAccounting:
         backlog = Backlog()
         backlog.add_reference(1, 1, 0)
         assert backlog.memory_footprint_bytes() > 0
-
-    def test_timing_can_be_disabled(self):
-        backlog = Backlog(config=BacklogConfig(track_timing=False))
-        backlog.add_reference(1, 1, 0)
-        backlog.checkpoint()
-        assert backlog.stats.update_seconds == 0.0

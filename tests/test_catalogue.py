@@ -17,7 +17,7 @@ from repro.core.lsm import (
     parse_tombstone_name,
     tombstone_name,
 )
-from repro.core.recovery import rebuild_run_manager
+from repro.core.lsm import rebuild_run_manager
 
 CONFIG = dict(partition_size_blocks=256, narrow_dispatch_max_runs=0)
 

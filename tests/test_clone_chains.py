@@ -151,6 +151,11 @@ def test_branching_clone_tree():
 # ----------------------------------------------------- memory flatness
 
 
+def _line_count(graph) -> int:
+    """Lines of a clone tree rooted at line 0: the root plus one per clone."""
+    return 1 + sum(map(len, graph.children_map().values()))
+
+
 def _streaming_peak(records, graph) -> int:
     rows = records_to_rows(records, 6)
     authority = AllVersionsAuthority()
@@ -158,7 +163,7 @@ def _streaming_peak(records, graph) -> int:
     count = sum(1 for _ in fold_rows_for_query(iter(rows), graph, authority))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert count == len(records) * (len(graph.all_lines()))
+    assert count == len(records) * _line_count(graph)
     return peak
 
 
@@ -167,7 +172,7 @@ def _materialized_peak(records, graph) -> int:
     result = materialized_expand(records, graph)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert len(result) == len(records) * (len(graph.all_lines()))
+    assert len(result) == len(records) * _line_count(graph)
     return peak
 
 
@@ -219,8 +224,7 @@ def test_incremental_expansion_peak_is_group_sized():
 def test_backlog_query_sees_every_chain_descendant():
     """End to end: a 20-deep clone chain answers with 21 owners per block."""
     depth = 20
-    backlog = Backlog(backend=MemoryBackend(),
-                      config=BacklogConfig(track_timing=False))
+    backlog = Backlog(backend=MemoryBackend())
     backlog.add_reference(block=100, inode=2, offset=0)
     cp = backlog.checkpoint()
     for child in range(1, depth + 1):
@@ -237,8 +241,7 @@ def test_backlog_query_sees_every_chain_descendant():
 @pytest.mark.parametrize("narrow_dispatch_max_runs", [0, 2], ids=["streaming", "dispatched"])
 def test_backlog_deep_chain_queries_agree_across_strategies(narrow_dispatch_max_runs):
     """Both execution strategies answer deep-chain range queries identically."""
-    config = BacklogConfig(track_timing=False,
-                           narrow_dispatch_max_runs=narrow_dispatch_max_runs)
+    config = BacklogConfig(narrow_dispatch_max_runs=narrow_dispatch_max_runs)
     backlog = Backlog(backend=MemoryBackend(), config=config)
     for block in range(64):
         backlog.add_reference(block=block, inode=1 + block % 5, offset=block % 4)

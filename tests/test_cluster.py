@@ -111,15 +111,12 @@ def test_shard_map_striping_and_validation():
     assert shard_map.shard_of_block(0) == 0
     assert shard_map.shard_of_block(63) == 0
     assert shard_map.shard_of_block(64) == 1
-    assert shard_map.partitions_of_shard(1, 10) == [1, 4, 7]
     with pytest.raises(ValueError):
         ShardMap(0)
     with pytest.raises(ValueError):
         ShardMap(2, partition_size_blocks=0)
     with pytest.raises(ValueError):
         shard_map.shard_of_block(-1)
-    with pytest.raises(ValueError):
-        shard_map.partitions_of_shard(3, 10)
 
 
 def test_subranges_partition_exact_and_shard_count_independent():
@@ -356,6 +353,28 @@ def test_cluster_crash_mid_checkpoint_no_partial_cp(shard_factory):
             cluster.select(QuerySpec(0, 300)).all()} == expected
 
 
+def test_cluster_clone_after_worker_death_registers_once(shard_factory):
+    """The revive's SYNC installs the clone on the dead shard; the clone
+    event is not sent a second time, which the worker would refuse."""
+    from repro.core.backlog import Backlog
+
+    cluster = shard_factory(num_shards=2, durable=True)
+    backlog = Backlog(config=BacklogConfig(partition_size_blocks=64))
+    for system in (cluster, backlog):
+        _fill(system)
+    cluster.debug_kill(1)
+    for system in (cluster, backlog):
+        system.register_clone(5, 0, 1)
+        system.add_reference(70, inode=8, offset=0, line=5)
+        system.checkpoint()
+    assert cluster.select(QuerySpec(0, 300)).all() == \
+        backlog.select(QuerySpec(0, 300)).all()
+    # Block 70 lives on the revived shard: it expands the clone, once.
+    assert [(ref.line, ref.inode) for ref in cluster.query(70)] == \
+        [(0, 3), (5, 3), (5, 8)]
+    backlog.close()
+
+
 def test_cluster_memory_shard_death_is_loud(shard_factory):
     cluster = shard_factory(num_shards=2)          # no directory: no recovery
     _fill(cluster)
@@ -381,7 +400,7 @@ def test_cluster_cold_restart_recovers_all_shards(tmp_path):
         assert os.path.isdir(shard_directory(root, shard))
         with open(shard_meta_path(root, shard), encoding="utf-8") as handle:
             meta = json.load(handle)
-        assert meta["cp"] == committed and meta["committed"] == committed
+        assert meta["cp"] == committed
     with ShardedBacklog(num_shards=3, config=config, directory=root) as cluster:
         assert cluster.committed_cp == committed
         cluster.register_clone(1, 0, 1)            # clone state is in-memory

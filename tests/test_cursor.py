@@ -420,7 +420,7 @@ def test_resume_skips_additions_before_the_cursor():
 
 
 def _wide_backlog(device_blocks: int, refs: int) -> Backlog:
-    config = BacklogConfig(partition_size_blocks=device_blocks // 8, track_timing=False)
+    config = BacklogConfig(partition_size_blocks=device_blocks // 8)
     backlog = Backlog(backend=MemoryBackend(), config=config)
     rng = random.Random(4)
     for cp in range(4):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.deletion_vector import DeletionVector
 from repro.core.records import CombinedRecord, FromRecord, INFINITY, ReferenceKey, ToRecord
 
@@ -24,18 +22,6 @@ class TestSuppression:
         assert not vector.is_suppressed(FromRecord(10, 2, 4, 0, 1))
         assert not vector.is_suppressed(FromRecord(11, 2, 3, 0, 1))
 
-    def test_suppress_block_batch(self):
-        vector = DeletionVector()
-        keys = [ReferenceKey(7, 1, 0, 0), ReferenceKey(7, 2, 5, 1)]
-        vector.suppress_block(7, keys)
-        assert len(vector) == 2
-        assert vector.touches_block(7)
-
-    def test_suppress_block_rejects_foreign_keys(self):
-        vector = DeletionVector()
-        with pytest.raises(ValueError):
-            vector.suppress_block(7, [ReferenceKey(8, 1, 0, 0)])
-
     def test_filter(self):
         vector = DeletionVector()
         vector.suppress(5, 1, 0, 0)
@@ -49,4 +35,4 @@ class TestSuppression:
         assert vector.memory_estimate_bytes() > 0
         vector.clear()
         assert not vector
-        assert not vector.touches_block(5)
+        assert not vector.is_suppressed(FromRecord(5, 1, 0, 0, 1))

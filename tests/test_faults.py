@@ -36,7 +36,7 @@ from repro import (
 from repro.core.executor import PartitionExecutor
 from repro.core.read_store import ReadStoreReader, ReadStoreWriter
 from repro.core.records import FromRecord
-from repro.core.recovery import rebuild_run_manager
+from repro.core.lsm import rebuild_run_manager
 from repro.core.verify import verify_backlog
 from repro.fsim.blockdev import PAGE_SIZE, DiskBackend
 from repro.fsim.faults import is_transient_fault

@@ -79,7 +79,9 @@ def test_memtable_matches_rbtree_store(ops, probe_block, probe_width):
     ordered = sorted(model)
     assert list(store) == ordered
     assert store.sorted_records() == ordered
-    assert store.distinct_blocks() == sorted({record.block for record in model})
+    for block in {record.block for record in model}:
+        assert store.records_for_block(block) == \
+            [record for record in ordered if record.block == block]
     assert (store.records_for_block_range(probe_block, probe_width)
             == [record for record in ordered
                 if probe_block <= record.block < probe_block + probe_width])

@@ -56,8 +56,6 @@ class TestCloneGraph:
         assert graph.parent_of(0) is None
         assert graph.children_of(0) == [(1, 10), (2, 20)]
         assert graph.clone_versions(0) == [10, 20]
-        assert graph.descendants_of(0) == [1, 2, 3]
-        assert graph.all_lines() == [0, 1, 2, 3]
 
     def test_add_clone_validation(self):
         graph = CloneGraph()

@@ -178,16 +178,6 @@ class TestIteration:
         assert reader.num_levels >= 2
         assert reader.records_for_block(12_345) == [records[12_345]]
 
-    def test_iter_from_positions_correctly(self):
-        records = _from_records(500, stride=2)  # blocks 0, 2, 4, ...
-        _, reader = _build(records)
-        result = list(reader.iter_from(block=100))
-        assert result[0].block == 100
-        assert len(result) == 500 - 50
-        # Start between two existing blocks.
-        result = list(reader.iter_from(block=101))
-        assert result[0].block == 102
-
     def test_records_for_block_range(self):
         records = _from_records(300)
         _, reader = _build(records)
@@ -211,8 +201,8 @@ class TestBloomIntegration:
     def test_might_contain_block(self):
         records = _from_records(200, stride=10)  # blocks 0, 10, ..., 1990
         _, reader = _build(records)
-        assert reader.might_contain_block(500)
-        assert not reader.might_contain_block(5_000)  # outside min/max bounds
+        assert reader.might_contain_range(500, 1)
+        assert not reader.might_contain_range(5_000, 1)  # outside min/max bounds
         assert not reader.might_contain_range(10_000, 50)
         assert reader.might_contain_range(0, 5)
 
@@ -261,13 +251,3 @@ def test_roundtrip_property(raw):
     records = sorted({FromRecord(*fields) for fields in raw}, key=FromRecord.sort_key)
     _, reader = _build(records)
     assert list(reader.iter_all()) == records
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(_record_fields, min_size=1, max_size=300), st.integers(0, 10_000))
-def test_iter_from_property(raw, start_block):
-    """Property: iter_from(block) returns exactly the records with block >= start."""
-    records = sorted({FromRecord(*fields) for fields in raw}, key=FromRecord.sort_key)
-    _, reader = _build(records)
-    expected = [r for r in records if r.block >= start_block]
-    assert list(reader.iter_from(start_block)) == expected

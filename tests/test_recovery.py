@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backlog import Backlog
-from repro.core.lsm import parse_run_name
-from repro.core.recovery import rebuild_run_manager, recover_backlog
+from repro.core.lsm import parse_run_name, rebuild_run_manager, run_name
+from repro.core.recovery import recover_backlog
 from repro.fsim.blockdev import DiskBackend, MemoryBackend
 from repro.fsim.filesystem import FileSystem, FileSystemConfig
 from repro.fsim.journal import Journal
@@ -45,6 +45,25 @@ class TestRebuildRunManager:
 
 
 class TestRecoverBacklog:
+    def test_opening_mounts_the_runs_already_on_the_backend(self):
+        """A second instance answers the first one's references and names
+        its runs past them, so nothing the first wrote is overwritten."""
+        backend = MemoryBackend()
+        first = Backlog(backend=backend)
+        first.add_reference(5, 1, 0)
+        first.checkpoint()
+        first.close()
+        second = Backlog(backend=backend)
+        assert [(ref.block, ref.inode) for ref in second.query(5)] == [(5, 1)]
+        second.add_reference(6, 2, 0)
+        second.checkpoint()
+        second.close()
+        assert backend.exists(run_name(0, "from", "L0", 1))
+        assert backend.exists(run_name(0, "from", "L0", 2))
+        recovered = recover_backlog(backend)
+        assert [(ref.block, ref.inode) for ref in recovered.query_range(5, 2)] == \
+            [(5, 1), (6, 2)]
+
     def test_state_before_last_cp_survives_crash(self):
         backend = MemoryBackend()
         original = Backlog(backend=backend)

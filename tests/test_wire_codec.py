@@ -56,15 +56,14 @@ _PLAIN_SPEC = {"first_block": 0, "num_blocks": 1, "version_window": None,
 #: One representative payload per opcode (requests as the coordinator builds
 #: them, replies as the worker does), plus the second shape where an opcode
 #: has one: the worker's hello and a packed query page under OK, an
-#: all-defaults query.
+#: all-defaults query, the empty SYNC a fresh cluster sends.
 _SAMPLES = [
-    (Opcode.SYNC, {"clones": [(1, 0, 3), (2, 1, 5)], "suppressed": [(9, 1, 0, 0)],
-                   "zombies": [(1, 4)], "authority": _AUTHORITY, "current_cp": 6}),
+    (Opcode.SYNC, {"clones": [(1, 0, 3), (2, 1, 5)], "suppressed": [(9, 1, 0, 0)]}),
     (Opcode.UPDATE, {"ops": [("add", 7, 3, 0, 0, 5), ("remove", 7, 3, 0, 0, 6),
                              ("add", INFINITY, INFINITY, 0, 2, 6)]}),
     (Opcode.UPDATE, {"ops": []}),
     (Opcode.CHECKPOINT_PREPARE, {"cp": 6, "authority": _AUTHORITY}),
-    (Opcode.CHECKPOINT_COMMIT, {"cp": 6}),
+    (Opcode.SYNC, {"clones": [], "suppressed": []}),
     (Opcode.MAINTAIN, {"authority": None}),
     (Opcode.QUERY_OPEN, {"authority": _AUTHORITY, "spec": _SPEC}),
     (Opcode.QUERY_OPEN, {"authority": None, "spec": _PLAIN_SPEC}),
@@ -75,8 +74,7 @@ _SAMPLES = [
     (Opcode.SNAPSHOT_DELETED, {"line": 0, "version": 4, "is_zombie": True, "cp": 7}),
     (Opcode.FAULT, {"action": "free_space", "pages": None}),
     (Opcode.SHUTDOWN, {}),
-    (Opcode.OK, {"shard": 1, "pid": 4242, "cp": 6, "committed": 6,
-                 "recovered_runs": 3}),
+    (Opcode.OK, {"shard": 1, "pid": 4242, "cp": 6, "recovered_runs": 3}),
     (Opcode.OK, QueryPage(
         [(2, 1, 0, 0, ((1, 4), (6, INFINITY))), (3, 2, 5, 1, ((7, INFINITY),))],
         _TOKEN, False, {"pages_read": 12, "runs_probed": 2})),
@@ -118,7 +116,8 @@ def _assert_wire_types(opcode, payload):
         assert type(spec["live_only"]) is bool
         QuerySpec(**spec)                    # what the worker does with it
     if opcode is Opcode.SYNC:
-        for name in ("clones", "suppressed", "zombies"):
+        assert set(payload) == {"clones", "suppressed"}
+        for name in ("clones", "suppressed"):
             assert all(type(entry) is tuple for entry in payload[name])
     if opcode is Opcode.UPDATE:
         assert all(type(op) is tuple and op[0] in ("add", "remove")
@@ -361,7 +360,7 @@ def test_worker_refuses_an_undecodable_frame_and_stays_in_step():
         # Still in step: the next well-formed request gets its own reply.
         assert channel.request(Opcode.STATS, {})["pid"] == os.getpid()
         with pytest.raises(WorkerError, match="KeyError"):
-            channel.request(Opcode.CHECKPOINT_COMMIT, {})
+            channel.request(Opcode.CLONE, {})
         assert channel.request(Opcode.SHUTDOWN, {}) == {"shard": 0}
     finally:
         parent_end.close()

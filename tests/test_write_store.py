@@ -49,7 +49,7 @@ class TestInsertRemove:
         assert store.remove(record) is True
         assert store.remove(record) is False
         assert len(store) == 0
-        assert not store.may_contain_block(10)
+        assert store.records_for_block(10) == []
 
     def test_clear(self):
         store = WriteStore("from")
@@ -57,7 +57,7 @@ class TestInsertRemove:
             store.insert(FromRecord(block, 1, 0, 0, 1))
         store.clear()
         assert len(store) == 0
-        assert store.distinct_blocks() == []
+        assert store.records_for_block_range(0, 20) == []
 
 
 class TestLookups:
@@ -69,14 +69,6 @@ class TestLookups:
         assert not store.contains(10, 2, 5, 0, 8)
         assert store.find(10, 2, 5, 0, 7) == record
         assert store.find(10, 2, 5, 0, 8) is None
-
-    def test_records_for_key(self):
-        store = WriteStore("from")
-        store.insert(FromRecord(10, 2, 5, 0, 7))
-        store.insert(FromRecord(10, 2, 5, 0, 9))
-        store.insert(FromRecord(10, 2, 6, 0, 9))
-        records = store.records_for_key(10, 2, 5, 0)
-        assert [r.from_cp for r in records] == [7, 9]
 
     def test_records_for_block_and_range(self):
         store = WriteStore("to")
@@ -91,11 +83,11 @@ class TestLookups:
         store.insert(FromRecord(10, 1, 0, 0, 1))
         store.insert(FromRecord(10, 2, 0, 0, 1))
         store.insert(FromRecord(11, 1, 0, 0, 1))
-        assert store.distinct_blocks() == [10, 11]
         store.remove(FromRecord(10, 1, 0, 0, 1))
-        assert store.may_contain_block(10)
+        assert store.records_for_block(10) == [FromRecord(10, 2, 0, 0, 1)]
         store.remove(FromRecord(10, 2, 0, 0, 1))
-        assert not store.may_contain_block(10)
+        assert store.records_for_block(10) == []
+        assert store.records_for_block(11) == [FromRecord(11, 1, 0, 0, 1)]
 
 
 class TestIterationOrder:
@@ -136,4 +128,6 @@ def test_write_store_matches_set_model(raw_records):
         store.insert(record)
         model.add(record)
     assert list(store) == sorted(model, key=FromRecord.sort_key)
-    assert sorted(store.distinct_blocks()) == sorted({r.block for r in model})
+    # Point queries consult the per-block counts before sorting.
+    assert [r for block in range(51) for r in store.records_for_block(block)] == \
+        sorted(model)
